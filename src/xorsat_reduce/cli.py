@@ -152,9 +152,8 @@ def cmd_grover(args) -> int:
     instance = parse_instance(Path(args.instance).read_text())
     outcome = reduce_instance(instance)
     if isinstance(outcome, XorInfeasible):
-        record = {"status": "UNSAT (XOR-certified)", "queries": 0, "iterations": 0,
-                  "seed": args.seed, "n": instance.n, "m": instance.m,
-                  **_reduction_fields(instance, outcome)}
+        record = {"status": "UNSAT (XOR-certified)", "queries": 0, "seed": args.seed,
+                  "n": instance.n, "m": instance.m, **_reduction_fields(instance, outcome)}
         _emit_record(args, record)
         return 0
     spec = OracleSpec(reduction=outcome, instance=instance)
@@ -162,7 +161,6 @@ def cmd_grover(args) -> int:
     record = {
         "status": "SAT" if result.satisfiable else "UNSAT (search-certified)",
         "queries": result.queries,
-        "iterations": result.queries,
         "seed": args.seed,
         "n": instance.n,
         "m": instance.m,
@@ -259,12 +257,10 @@ def cmd_sweep_tree(args) -> int:
     return 0
 
 
-def _add_common(parser, out=True):
+def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    if out:
-        parser.add_argument("--out", help="write output to a file instead of stdout")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--perm-trials", type=int, default=trials)
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1)
         _add_common(p)
         p.set_defaults(func=func)
 

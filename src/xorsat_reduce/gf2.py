@@ -100,7 +100,8 @@ def kernel_basis(m) -> np.ndarray:
     mat = as_bin_matrix(m)
     n = mat.shape[1]
     rref, pivots = row_reduce(mat)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = np.zeros((len(free), n), dtype=np.uint8)
     for i, c in enumerate(free):
         basis[i, c] = 1
@@ -220,7 +221,8 @@ def standard_form(kernel, offset, selection=None) -> StandardForm:
         sel = [int(c) for c in selection]
         if len(sel) != k or len(set(sel)) != k or not all(0 <= c < n for c in sel):
             raise ValueError("selection must be k distinct coordinate indices")
-    rest = [c for c in range(n) if c not in set(sel)]
+    chosen = set(sel)
+    rest = [c for c in range(n) if c not in chosen]
     u_inv = inverse(basis[:, sel])  # raises if the selection is rank-deficient
     # Rows of `w` map the free block to the dependent block: with
     # v_free = v @ U, we get x[rest] = v_free @ w (+ offset terms).

@@ -16,15 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import bit_block, index_to_bits
+from .bits import index_to_bits
 from .errors import GuardExceeded
-from .instances import Instance, clause_tables, eval_batch
-from .reduction import Reduction, expand, expand_batch
+from .instances import Instance
+from .reduction import Reduction, expand, scan
 from .solvers import SolveOutcome
 
 SEARCH_MAX_FREE = 24
 NORM_TOL = 1e-9
-_MASK_BLOCK = 1 << 16
 
 # The unknown-count schedule: per-round iteration cap grows by 6/5 until it
 # reaches sqrt(N); Unsat is certified after this many artificial-only hits,
@@ -66,14 +65,9 @@ class OracleSpec:
         k = self.free_count
         if k > SEARCH_MAX_FREE:
             raise GuardExceeded("reduced-space dimension k", k, SEARCH_MAX_FREE)
-        tables = clause_tables(self.instance)
-        total = 1 << k
-        mask = np.zeros(total, dtype=bool)
-        for start in range(0, total, _MASK_BLOCK):
-            block = bit_block(start, min(start + _MASK_BLOCK, total), k)
-            mask[start : start + block.shape[0]] = eval_batch(
-                self.instance, expand_batch(self.reduction, block), tables
-            )
+        mask = np.empty(1 << k, dtype=bool)
+        for start, _, satisfied in scan(self.instance, self.reduction):
+            mask[start : start + satisfied.size] = satisfied
         return mask
 
     @cached_property
@@ -175,8 +169,6 @@ def grover_search_unknown(
     instance is declared Unsat. Queries counts oracle applications.
     """
     k = spec.free_count
-    if k > SEARCH_MAX_FREE:
-        raise GuardExceeded("reduced-space dimension k", k, SEARCH_MAX_FREE)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     artificial = spec.artificial_marked if spec.artificial_marked is not None else 0
     solution_mask = spec.solution_mask

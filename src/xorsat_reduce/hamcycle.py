@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bits import bit_block
 from .errors import GenerationError, GuardExceeded, ParseError
-from .instances import Clause, Instance, Literal, clause_tables, eval_batch
-from .reduction import XorInfeasible, expand_batch, reduce_instance
+from .instances import Clause, Instance, Literal
+from .reduction import XorInfeasible, reduce_instance, scan
 
-SOLVE_MAX_FREE = 30
 BRUTE_FORCE_MAX_NODES = 12
 _GENERATOR_ATTEMPTS = 2000
 
@@ -168,16 +166,7 @@ def solve_hc(graph: Graph) -> np.ndarray | None:
     outcome = reduce_instance(instance)
     if isinstance(outcome, XorInfeasible):
         return None
-    k = outcome.free_count
-    if k > SOLVE_MAX_FREE:
-        raise GuardExceeded("reduced-space dimension k", k, SOLVE_MAX_FREE)
-    tables = clause_tables(instance)
-    total = 1 << k
-    block_size = 1 << 16
-    for start in range(0, total, block_size):
-        block = bit_block(start, min(start + block_size, total), k)
-        candidates = expand_batch(outcome, block)
-        degree_ok = eval_batch(instance, candidates, tables)
+    for _, candidates, degree_ok in scan(instance, outcome):
         for i in np.nonzero(degree_ok)[0]:
             if is_hamiltonian_cycle(graph, candidates[i]):
                 return candidates[i].copy()

@@ -5,7 +5,8 @@ variables = (negations + q) mod 2, so all solutions of an instance live
 in the affine space of the resulting GF(2) system. The reduction packages
 a kernel basis, a particular solution and the standard-form decomposition
 that backtracking uses; an inconsistent system yields a certified
-infeasibility witness instead.
+infeasibility witness instead. `scan` walks the reduced space for every
+classical consumer.
 """
 
 from __future__ import annotations
@@ -15,8 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gf2
+from .bits import bit_block
+from .errors import GuardExceeded
 from .gf2 import StandardForm
-from .instances import Instance
+from .instances import Instance, clause_tables, eval_batch
+
+SCAN_MAX_FREE = 30
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +111,23 @@ def expand_batch(reduction: Reduction, v_block) -> np.ndarray:
         raise ValueError(f"block shape {block.shape} incompatible with k = {reduction.free_count}")
     prod = block.astype(np.int64) @ reduction.kernel.astype(np.int64)
     return ((prod + reduction.offset) % 2).astype(np.uint8)
+
+
+def scan(instance: Instance, reduction: Reduction):
+    """Walk the 2^k reduced-space candidates in blocks, in lexicographic parameter order.
+
+    Yields (start, candidates, satisfied) per block: candidates[i] is
+    expand(reduction, index_to_bits(start + i, k)) and satisfied[i]
+    tells whether it satisfies the instance. Guarded to k <= 30.
+    """
+    k = reduction.free_count
+    if k > SCAN_MAX_FREE:
+        raise GuardExceeded("reduced-space dimension k", k, SCAN_MAX_FREE)
+    tables = clause_tables(instance)
+    total = 1 << k
+    for start in range(0, total, _SCAN_BLOCK):
+        candidates = expand_batch(reduction, bit_block(start, min(start + _SCAN_BLOCK, total), k))
+        yield start, candidates, eval_batch(instance, candidates, tables)
 
 
 def expand_standard(reduction: Reduction, v_prime) -> np.ndarray:

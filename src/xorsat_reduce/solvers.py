@@ -14,20 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bits import bit_block
-from .errors import GuardExceeded
-from .instances import (
-    INDETERMINATE,
-    ClauseStatus,
-    Instance,
-    clause_tables,
-    eval_batch,
-    eval_clause_partial,
-)
-from .reduction import Reduction, XorInfeasible, expand_batch, reduce_instance
-
-ENUMERATION_MAX_FREE = 30
-_ENUM_BLOCK = 1 << 16
+from .instances import INDETERMINATE, ClauseStatus, Instance, eval_clause_partial
+from .reduction import Reduction, XorInfeasible, reduce_instance, scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,11 +39,6 @@ def _reduction_for(instance: Instance, reduction):
     return reduction
 
 
-def _check_enumeration_guard(k: int):
-    if k > ENUMERATION_MAX_FREE:
-        raise GuardExceeded("reduced-space dimension k", k, ENUMERATION_MAX_FREE)
-
-
 def solve_enumerate(instance: Instance, reduction=None) -> SolveOutcome:
     """Check reduced-space candidates in lexicographic parameter order.
 
@@ -65,19 +48,12 @@ def solve_enumerate(instance: Instance, reduction=None) -> SolveOutcome:
     reduction = _reduction_for(instance, reduction)
     if isinstance(reduction, XorInfeasible):
         return SolveOutcome(False, None, 0)
-    k = reduction.free_count
-    _check_enumeration_guard(k)
-    tables = clause_tables(instance)
-    total = 1 << k
-    for start in range(0, total, _ENUM_BLOCK):
-        block = bit_block(start, min(start + _ENUM_BLOCK, total), k)
-        good = eval_batch(instance, expand_batch(reduction, block), tables)
-        hits = np.nonzero(good)[0]
+    for start, candidates, satisfied in scan(instance, reduction):
+        hits = np.nonzero(satisfied)[0]
         if hits.size:
             first = int(hits[0])
-            assignment = expand_batch(reduction, block[first : first + 1])[0]
-            return SolveOutcome(True, assignment, start + first + 1)
-    return SolveOutcome(False, None, total)
+            return SolveOutcome(True, candidates[first].copy(), start + first + 1)
+    return SolveOutcome(False, None, 1 << reduction.free_count)
 
 
 def count_enumerate(instance: Instance, reduction=None) -> int:
@@ -85,15 +61,7 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
     reduction = _reduction_for(instance, reduction)
     if isinstance(reduction, XorInfeasible):
         return 0
-    k = reduction.free_count
-    _check_enumeration_guard(k)
-    tables = clause_tables(instance)
-    total = 1 << k
-    count = 0
-    for start in range(0, total, _ENUM_BLOCK):
-        block = bit_block(start, min(start + _ENUM_BLOCK, total), k)
-        count += int(eval_batch(instance, expand_batch(reduction, block), tables).sum())
-    return count
+    return sum(int(satisfied.sum()) for _, _, satisfied in scan(instance, reduction))
 
 
 class _BacktrackRun:

@@ -116,7 +116,8 @@ def _tree_sample(task) -> dict:
         )
         opt_count, opt_tree = backtrack_count(inst, optimized)
         tree_nodes = opt_tree.total_nodes
-        assert opt_count == count
+        if opt_count != count:
+            raise RuntimeError(f"permutation changed the solution count: {count} -> {opt_count}")
     return dict(stats, solutions=count, tree_nodes=tree_nodes,
                 tree_nodes_unoptimized=raw_tree.total_nodes)
 

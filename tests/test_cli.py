@@ -147,6 +147,7 @@ class TestGrover:
         record = run_json(capsys, "grover", chain_file, "--seed", "11", "--json")
         assert record["status"] == "SAT"
         assert record["seed"] == 11
+        assert "iterations" not in record
         assert tuple(record["assignment"]) in {(0, 0, 0, 0, 1), (0, 1, 1, 0, 0)}
 
     def test_deterministic(self, capsys, chain_file):
@@ -167,6 +168,7 @@ class TestGrover:
         record = run_json(capsys, "grover", str(path), "--json")
         assert record["status"] == "UNSAT (XOR-certified)"
         assert record["queries"] == 0
+        assert "iterations" not in record
 
 
 class TestGroverCost:
@@ -250,6 +252,13 @@ class TestSweeps:
         assert summary["kind"] == "summary"
         assert float(summary["gamma"]) >= 0.0
         assert float(summary["mean_sqrt_t"]) >= 1.0
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost"])
+def test_threads_is_only_a_sweep_option(capsys, chain_file, command):
+    with pytest.raises(SystemExit) as err:
+        main([command, chain_file, "--threads", "2"])
+    assert err.value.code == 2
 
 
 def test_console_script_entry_point():
