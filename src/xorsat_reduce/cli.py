@@ -39,7 +39,7 @@ TREE_CSV_FIELDS = [
 
 
 def _write_text(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -257,9 +257,15 @@ def cmd_sweep_tree(args) -> int:
     return 0
 
 
-def _add_common(parser):
+def _add_record_options(parser):
+    """--seed and --json, for the commands that print one record."""
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _add_file_options(parser):
+    """--seed and --out, for the commands whose text output can go to a file."""
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -279,41 +285,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--neg-prob", type=float, default=0.5)
-    _add_common(p)
+    _add_file_options(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="decide satisfiability by reduced enumeration")
     p.add_argument("instance")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("count", help="count solutions by reduced enumeration")
     p.add_argument("instance")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("backtrack", help="backtracking solver with tree statistics")
     p.add_argument("instance")
     p.add_argument("--count", action="store_true", help="exhaust the tree and count solutions")
     p.add_argument("--perm-trials", type=int, default=0, help="optimize the free block first")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_backtrack)
 
     p = sub.add_parser("grover", help="simulated Grover search with unknown solution count")
     p.add_argument("instance")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_grover)
 
     p = sub.add_parser("grover-cost", help="query-cost formulas and oracle resource model")
     p.add_argument("instance")
     p.add_argument("--count-solutions", action="store_true",
                    help="count solutions exactly for the counting cost")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_grover_cost)
 
     p = sub.add_parser("hc", help="find a Hamiltonian cycle via the 2-in-degree reduction")
     p.add_argument("graph")
-    _add_common(p)
+    _add_record_options(p)
     p.set_defaults(func=cmd_hc)
 
     for name, func, trials in (("sweep-kernel", cmd_sweep_kernel, 0), ("sweep-tree", cmd_sweep_tree, 100)):
@@ -327,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)
-        _add_common(p)
+        _add_file_options(p)
         p.set_defaults(func=func)
 
     return parser

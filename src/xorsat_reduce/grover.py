@@ -66,7 +66,7 @@ class OracleSpec:
         if k > SEARCH_MAX_FREE:
             raise GuardExceeded("reduced-space dimension k", k, SEARCH_MAX_FREE)
         mask = np.empty(1 << k, dtype=bool)
-        for start, _, satisfied in scan(self.instance, self.reduction):
+        for start, satisfied in scan(self.instance, self.reduction):
             mask[start : start + satisfied.size] = satisfied
         return mask
 
@@ -172,9 +172,7 @@ def grover_search_unknown(
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     artificial = spec.artificial_marked if spec.artificial_marked is not None else 0
     solution_mask = spec.solution_mask
-    marked = solution_mask.copy()
-    marked[artificial] = True
-    marked_indices = np.nonzero(marked)[0]
+    marked_indices = np.union1d(np.flatnonzero(solution_mask), [artificial])
     total = 1 << k
     theta = math.asin(math.sqrt(marked_indices.size / total))
 

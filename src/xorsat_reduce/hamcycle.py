@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
+from .bits import index_to_bits
 from .errors import GenerationError, GuardExceeded, ParseError
 from .instances import Clause, Instance, Literal
-from .reduction import XorInfeasible, reduce_instance, scan
+from .reduction import XorInfeasible, expand, reduce_instance, scan
 
 BRUTE_FORCE_MAX_NODES = 12
 _GENERATOR_ATTEMPTS = 2000
@@ -166,10 +167,11 @@ def solve_hc(graph: Graph) -> np.ndarray | None:
     outcome = reduce_instance(instance)
     if isinstance(outcome, XorInfeasible):
         return None
-    for _, candidates, degree_ok in scan(instance, outcome):
-        for i in np.nonzero(degree_ok)[0]:
-            if is_hamiltonian_cycle(graph, candidates[i]):
-                return candidates[i].copy()
+    for start, degree_ok in scan(instance, outcome):
+        for i in np.flatnonzero(degree_ok):
+            candidate = expand(outcome, index_to_bits(start + int(i), outcome.free_count))
+            if is_hamiltonian_cycle(graph, candidate):
+                return candidate
     return None
 
 

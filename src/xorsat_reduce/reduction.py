@@ -11,18 +11,27 @@ classical consumer.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gf2
-from .bits import bit_block
+from .bits import index_to_bits
 from .errors import GuardExceeded
 from .gf2 import StandardForm
-from .instances import Instance, clause_tables, eval_batch
+from .instances import Instance
 
 SCAN_MAX_FREE = 30
 _SCAN_BLOCK = 1 << 16
+
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# Bit b < 6 of a position inside a 64-bit word (position t is bit t of the word).
+_WORD_PATTERNS = np.array(
+    [0xAAAA_AAAA_AAAA_AAAA, 0xCCCC_CCCC_CCCC_CCCC, 0xF0F0_F0F0_F0F0_F0F0,
+     0xFF00_FF00_FF00_FF00, 0xFFFF_0000_FFFF_0000, 0xFFFF_FFFF_0000_0000],
+    dtype=np.uint64,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,21 +122,95 @@ def expand_batch(reduction: Reduction, v_block) -> np.ndarray:
     return ((prod + reduction.offset) % 2).astype(np.uint8)
 
 
+def _position_planes(width: int) -> np.ndarray:
+    """(width, words) uint64: plane b holds bit b of every position 0..2^width - 1.
+
+    Position i is bit i % 64 of word i // 64; a block narrower than one
+    word leaves the word's upper bits as padding.
+    """
+    words = max(1, (1 << width) >> 6)
+    planes = np.empty((width, words), dtype=np.uint64)
+    planes[:6] = _WORD_PATTERNS[:width, None]
+    word_index = np.arange(words, dtype=np.uint64)
+    for b in range(6, width):
+        planes[b] = ((word_index >> np.uint64(b - 6)) & np.uint64(1)) * _ONES
+    return planes
+
+
+class _BitSlicedClauses:
+    """The clauses of an instance, evaluated on packed bit planes.
+
+    Clauses are grouped by arity p. Per group it keeps the variables
+    (M_p, p), the negations as words (M_p, p, 1) and q as words (bits,
+    M_p, 1), where word row b is all-ones where bit b of q is set; a q
+    above p can never be met, so it is clamped to p + 1. The counter and
+    carry buffers are allocated once and reused for every block.
+    """
+
+    def __init__(self, instance: Instance, words: int):
+        by_arity = defaultdict(list)
+        for c in instance.clauses:
+            by_arity[c.p].append(c)
+        self.groups = []
+        for p, clauses in sorted(by_arity.items()):
+            variables = np.array([[lit.var for lit in c.literals] for c in clauses], dtype=np.intp)
+            negated = np.array([[lit.negated for lit in c.literals] for c in clauses], dtype=np.uint64)
+            q = [min(c.q, p + 1) for c in clauses]
+            q_bits = np.array([[(v >> b) & 1 for v in q] for b in range(max(p, *q).bit_length())],
+                              dtype=np.uint64)
+            counter = np.empty((len(q_bits), len(clauses), words), dtype=np.uint64)
+            self.groups.append((variables, negated[:, :, None] * _ONES, q_bits[:, :, None] * _ONES,
+                                counter, np.empty_like(counter[0]), np.empty_like(counter[0])))
+
+    def satisfied(self, variables: np.ndarray) -> np.ndarray:
+        """AND over all clauses of [true-literal count == q], one bit per candidate.
+
+        `variables` holds one plane per variable. Each clause's count is a
+        ripple-carry counter over its literal planes, held as bit planes
+        (least significant first); a clause holds where no counter bit
+        differs from the bit of q.
+        """
+        satisfied = np.full(variables.shape[1], _ONES)
+        for clause_vars, negations, q_words, counter, carry, spare in self.groups:
+            counter.fill(0)
+            for t in range(clause_vars.shape[1]):
+                np.take(variables, clause_vars[:, t], axis=0, out=carry)
+                carry ^= negations[:, t]
+                for digit in counter:
+                    np.bitwise_and(digit, carry, out=spare)
+                    digit ^= carry
+                    carry, spare = spare, carry
+            counter ^= q_words
+            satisfied &= ~np.bitwise_or.reduce(counter, axis=(0, 1))
+        return satisfied
+
+
 def scan(instance: Instance, reduction: Reduction):
     """Walk the 2^k reduced-space candidates in blocks, in lexicographic parameter order.
 
-    Yields (start, candidates, satisfied) per block: candidates[i] is
-    expand(reduction, index_to_bits(start + i, k)) and satisfied[i]
-    tells whether it satisfies the instance. Guarded to k <= 30.
+    Yields (start, satisfied) per block: satisfied[i] tells whether
+    expand(reduction, index_to_bits(start + i, k)) satisfies the instance.
+    Inside a block of 2^w candidates only the last w parameters vary, so
+    each variable is one packed bit plane over the block: the fixed part
+    of the block's expansion XOR the planes of the varying parameters
+    whose kernel rows contain it. Guarded to k <= 30.
     """
     k = reduction.free_count
     if k > SCAN_MAX_FREE:
         raise GuardExceeded("reduced-space dimension k", k, SCAN_MAX_FREE)
-    tables = clause_tables(instance)
-    total = 1 << k
-    for start in range(0, total, _SCAN_BLOCK):
-        candidates = expand_batch(reduction, bit_block(start, min(start + _SCAN_BLOCK, total), k))
-        yield start, candidates, eval_batch(instance, candidates, tables)
+    width = min(k, _SCAN_BLOCK.bit_length() - 1)
+    planes = _position_planes(width)
+    varying = np.zeros((reduction.n, planes.shape[1]), dtype=np.uint64)
+    for b in range(width):
+        varying[reduction.kernel[k - 1 - b].astype(bool)] ^= planes[b]
+    clauses = _BitSlicedClauses(instance, planes.shape[1])
+    variables = np.empty_like(varying)
+    for start in range(0, 1 << k, 1 << width):
+        fixed = expand(reduction, index_to_bits(start, k))
+        np.bitwise_xor(varying, fixed[:, None] * _ONES, out=variables)
+        plane = clauses.satisfied(variables)
+        bits = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        yield start, bits[: 1 << width].view(bool)
 
 
 def expand_standard(reduction: Reduction, v_prime) -> np.ndarray:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
+from .bits import index_to_bits
 from .instances import INDETERMINATE, ClauseStatus, Instance, eval_clause_partial
-from .reduction import Reduction, XorInfeasible, reduce_instance, scan
+from .reduction import Reduction, XorInfeasible, expand, reduce_instance, scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +49,11 @@ def solve_enumerate(instance: Instance, reduction=None) -> SolveOutcome:
     reduction = _reduction_for(instance, reduction)
     if isinstance(reduction, XorInfeasible):
         return SolveOutcome(False, None, 0)
-    for start, candidates, satisfied in scan(instance, reduction):
-        hits = np.nonzero(satisfied)[0]
+    for start, satisfied in scan(instance, reduction):
+        hits = np.flatnonzero(satisfied)
         if hits.size:
-            first = int(hits[0])
-            return SolveOutcome(True, candidates[first].copy(), start + first + 1)
+            first = start + int(hits[0])
+            return SolveOutcome(True, expand(reduction, index_to_bits(first, reduction.free_count)), first + 1)
     return SolveOutcome(False, None, 1 << reduction.free_count)
 
 
@@ -61,7 +62,7 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
     reduction = _reduction_for(instance, reduction)
     if isinstance(reduction, XorInfeasible):
         return 0
-    return sum(int(satisfied.sum()) for _, _, satisfied in scan(instance, reduction))
+    return sum(int(satisfied.sum()) for _, satisfied in scan(instance, reduction))
 
 
 class _BacktrackRun:

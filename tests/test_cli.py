@@ -261,6 +261,25 @@ def test_threads_is_only_a_sweep_option(capsys, chain_file, command):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost", "hc"])
+def test_out_is_only_a_file_output_option(capsys, chain_file, tmp_path, command):
+    out = tmp_path / "ignored.txt"
+    with pytest.raises(SystemExit) as err:
+        main([command, chain_file, "--out", str(out)])
+    assert err.value.code == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "9"],
+    ["sweep-kernel", "--n-list", "9", "--alpha", "1.0", "--samples", "1"],
+    ["sweep-tree", "--n-list", "9", "--alpha", "0.8", "--samples", "1"],
+])
+def test_json_is_only_a_record_option(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--json"])
+    assert err.value.code == 2
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "xorsat_reduce.cli", "--version"],

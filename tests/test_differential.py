@@ -2,35 +2,53 @@
 
 The instances mix occupation numbers per clause, include q > p clauses
 (structurally unsatisfiable) and negations, and cover n = 0 and M = 0;
-the locked generator produces none of these.
+the locked generator produces none of these. The reduced-space scan
+packs 64 candidates per word and counts true literals in a bit-sliced
+counter, so its tests also reach arities up to 8 (counters of 3 and 4
+bits), k below 6 (a block narrower than one word) and n above 64, where
+brute force cannot run and the backtrackers are the reference.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import OracleSpec
+from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
 from xorsat_reduce.instances import Clause, Instance, Literal, brute_force_solutions
-from xorsat_reduce.reduction import XorInfeasible, reduce_instance
+from xorsat_reduce.reduction import XorInfeasible, expand_batch, reduce_instance
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 
 from conftest import reference_satisfies
 
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+def as_set(rows) -> set[tuple[int, ...]]:
+    return {tuple(int(b) for b in row) for row in rows}
+
 
 @st.composite
-def small_instances(draw) -> Instance:
-    n = draw(st.integers(0, 10))
+def literals(draw, variables: list[int]) -> tuple[Literal, ...]:
+    negated = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+    return tuple(Literal(v, s) for v, s in zip(variables, negated))
+
+
+@st.composite
+def small_instances(draw, max_n: int = 10, max_arity: int = 5) -> Instance:
+    n = draw(st.integers(0, max_n))
     clauses = []
     for _ in range(draw(st.integers(0, 6)) if n else 0):
-        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
-        negated = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=max_arity, unique=True))
         q = draw(st.integers(1, len(variables) + 1))
-        clauses.append(Clause(tuple(Literal(v, s) for v, s in zip(variables, negated)), q))
+        clauses.append(Clause(draw(literals(variables)), q))
     return Instance(n, tuple(clauses))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, **SETTINGS)
 @given(small_instances())
 def test_solvers_agree_with_brute_force(inst):
     count = len(brute_force_solutions(inst))
@@ -46,3 +64,80 @@ def test_solvers_agree_with_brute_force(inst):
     if not isinstance(reduction, XorInfeasible):
         spec = OracleSpec(reduction=reduction, instance=inst)
         assert int(spec.solution_mask.sum()) == count
+
+
+@settings(max_examples=250, **SETTINGS)
+@given(small_instances(max_n=12, max_arity=8))
+def test_scan_consumers_agree_with_brute_force(inst):
+    solutions = as_set(brute_force_solutions(inst))
+    reduction = reduce_instance(inst)
+    outcome = solve_enumerate(inst, reduction)
+    assert count_enumerate(inst, reduction) == len(solutions)
+    assert outcome.satisfiable == bool(solutions)
+    if isinstance(reduction, XorInfeasible):
+        return
+    k = reduction.free_count
+    mask = OracleSpec(reduction=reduction, instance=inst).solution_mask
+    assert mask.shape == (1 << k,)
+    hits = expand_batch(reduction, bit_block(0, 1 << k, k)[mask])
+    assert as_set(hits) == solutions and len(hits) == len(solutions)
+    if solutions:
+        assert as_set([outcome.assignment]) <= solutions
+        assert outcome.queries == int(np.argmax(mask)) + 1
+    else:
+        assert outcome.queries == 1 << k
+
+
+@st.composite
+def small_graphs(draw) -> Graph:
+    nodes = draw(st.integers(3, 7))
+    pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+    return Graph(nodes, tuple(draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True))))
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(small_graphs())
+def test_solve_hc_agrees_with_brute_force(graph):
+    cycles = [x for x in brute_force_solutions(hc_to_occupation(graph))
+              if is_hamiltonian_cycle(graph, x)]
+    found = solve_hc(graph)
+    assert (found is not None) == bool(cycles)
+    if found is not None:
+        assert is_hamiltonian_cycle(graph, found)
+
+
+@st.composite
+def large_instances(draw) -> Instance:
+    """n in 25..80 with k <= 12: one clause per dependent variable a < n - k,
+    over a and later variables only, so the parity rows are independent;
+    half the instances plant a solution through their occupation numbers."""
+    n = draw(st.integers(25, 80))
+    k = draw(st.integers(0, 12))
+    planted = draw(st.lists(st.booleans(), min_size=n, max_size=n)) if draw(st.booleans()) else None
+    clauses = []
+    for a in range(n - k):
+        others = draw(st.lists(st.integers(a + 1, n - 1), max_size=3, unique=True)) if a + 1 < n else []
+        lits = draw(literals([a, *others]))
+        if planted is None:
+            q = draw(st.integers(1, len(lits) + 1))
+        else:
+            q = sum(planted[lit.var] != lit.negated for lit in lits)
+            if q == 0:
+                lits = (Literal(a, not lits[0].negated), *lits[1:])
+                q = 1
+        clauses.append(Clause(lits, q))
+    return Instance(n, tuple(clauses))
+
+
+@settings(max_examples=60, **SETTINGS)
+@given(large_instances())
+def test_scan_consumers_agree_with_backtracking_beyond_64_variables(inst):
+    reduction = reduce_instance(inst)
+    assert reduction.free_count <= 12
+    count, _ = backtrack_count(inst, reduction)
+    assert count_enumerate(inst, reduction) == count
+    assert int(OracleSpec(reduction=reduction, instance=inst).solution_mask.sum()) == count
+    outcome = solve_enumerate(inst, reduction)
+    assert outcome.satisfiable == backtrack_solve(inst, reduction)[0].satisfiable == (count > 0)
+    if outcome.satisfiable:
+        assert reference_satisfies(inst, [int(b) for b in outcome.assignment])

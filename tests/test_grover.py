@@ -249,6 +249,21 @@ class TestSearchUnknown:
         assert a.satisfiable == b.satisfiable and a.queries == b.queries
         assert np.array_equal(a.assignment, b.assignment)
 
+    @pytest.mark.parametrize("instance, artificial, seed, expected", [
+        (repeated_unique_instance(3), None, 0, (True, "100110011001", 11)),
+        (repeated_unique_instance(3), 21, 7, (True, "100110011001", 2)),  # marks the solution
+        (Instance(6, unsat_but_feasible_instance().clauses), None, 7, (False, None, 114)),
+        (Instance(6, unsat_but_feasible_instance().clauses), 9, 0, (False, None, 127)),
+        (Instance(10, repeated_unique_instance(2).clauses), None, 7, (True, "1001100100", 6)),
+        (Instance(10, repeated_unique_instance(2).clauses), 5, 7, (True, "1001100100", 6)),
+        (Instance(10, repeated_unique_instance(2).clauses), 23, 3, (True, "1001100110", 2)),
+    ])
+    def test_pinned_outcomes(self, instance, artificial, seed, expected):
+        # The marked indices fix every rng draw, so these outcomes pin them.
+        outcome = grover_search_unknown(spec_for(instance, artificial), rng=seed)
+        assignment = None if outcome.assignment is None else "".join(map(str, outcome.assignment))
+        assert (outcome.satisfiable, assignment, outcome.queries) == expected
+
     def test_mean_queries_single_target_k12(self):
         spec = spec_for(repeated_unique_instance(6))  # k = 12, V = 1
         assert spec.free_count == 12

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from xorsat_reduce.bits import index_to_bits
+from xorsat_reduce.bits import bit_block, index_to_bits
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, grover_search_known
 from xorsat_reduce.hamcycle import complete_graph, solve_hc
 from xorsat_reduce.instances import Instance, brute_force_solutions, clause, eval_instance
-from xorsat_reduce.reduction import expand, reduce_instance, scan
+from xorsat_reduce.reduction import expand, expand_batch, reduce_instance, scan
 from xorsat_reduce.solvers import count_enumerate, solve_enumerate
 
 F, T = False, True
@@ -36,13 +36,13 @@ def test_scan_blocks_cover_the_space_in_order(inst, count):
     r = reduce_instance(inst)
     assert r.free_count == 17
     blocks = list(scan(inst, r))
-    assert [start for start, _, _ in blocks] == [0, BLOCK]
-    for start, candidates, satisfied in blocks:
-        assert candidates.shape == (BLOCK, inst.n) and satisfied.shape == (BLOCK,)
+    assert [start for start, _ in blocks] == [0, BLOCK]
+    for start, satisfied in blocks:
+        assert satisfied.shape == (BLOCK,)
         for i in (0, 1, BLOCK - 1):
-            assert np.array_equal(candidates[i], expand(r, index_to_bits(start + i, 17)))
-            assert satisfied[i] == eval_instance(inst, candidates[i])
-    hits = np.concatenate([candidates[satisfied] for _, candidates, satisfied in blocks])
+            assert satisfied[i] == eval_instance(inst, expand(r, index_to_bits(start + i, 17)))
+    hits = np.concatenate([expand_batch(r, bit_block(start, start + BLOCK, 17)[satisfied])
+                           for start, satisfied in blocks])
     assert len(hits) == count
     expected = brute_force_solutions(inst)
     assert np.array_equal(sorted_codes(hits, inst.n), sorted_codes(expected, inst.n))
@@ -79,6 +79,16 @@ def test_first_hit_in_second_block():
     assert outcome.assignment.tolist() == [1, 1] + [0] * 16
     assert outcome.assignment.base is None  # a copy, not a view into the block
     assert count_enumerate(inst, r) == BLOCK
+
+
+def test_occupation_beyond_int64_is_never_met():
+    # q > p can never be met; a q too large for int64 must not overflow.
+    inst = Instance(4, (clause([(0, F), (1, F)], 1 << 70), clause([(1, F), (2, F), (3, F)], 1)))
+    r = reduce_instance(inst)
+    assert r.free_count == 2
+    assert count_enumerate(inst, r) == 0
+    assert solve_enumerate(inst, r).queries == 4
+    assert not OracleSpec(reduction=r, instance=inst).solution_mask.any()
 
 
 class TestGuards:
