@@ -139,7 +139,8 @@ def clause_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     signs is (M, n) int8 with +1 at unnegated and -1 at negated literal
     positions; for a batch X of assignments, X @ signs.T + negations
-    gives the true-literal count of every clause.
+    gives the true-literal count of every clause. A q above p is stored
+    as p + 1, which no count reaches, so any q fits in int64.
     """
     signs = np.zeros((instance.m, instance.n), dtype=np.int8)
     negations = np.zeros(instance.m, dtype=np.int64)
@@ -148,7 +149,7 @@ def clause_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarra
         for lit in c.literals:
             signs[a, lit.var] = -1 if lit.negated else 1
         negations[a] = c.negation_count
-        occupations[a] = c.q
+        occupations[a] = min(c.q, c.p + 1)
     return signs, negations, occupations
 
 

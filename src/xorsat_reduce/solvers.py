@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .bits import index_to_bits
-from .instances import INDETERMINATE, ClauseStatus, Instance, eval_clause_partial
+from .instances import Instance
 from .reduction import Reduction, XorInfeasible, expand, reduce_instance, scan
 
 
@@ -66,82 +66,95 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
 
 
 class _BacktrackRun:
-    """One depth-first walk of the standard-form decision tree.
+    """One depth-first walk of the standard-form decision tree, on an explicit stack.
 
     A dependent coordinate becomes determinate once every free variable
     in its row of the dependency map is fixed; a node is pruned when a
-    clause containing a newly determined variable is violated.
+    clause containing a newly determined variable is violated, i.e. has
+    more than q true literals or fewer than q true-or-open ones.
+
+    Each clause a keeps two counters in one flat list: slack[2a] = q - true
+    (literals that may still turn true) and slack[2a + 1] = true + open - q
+    (literals that may still turn false). Fixing a literal true lowers the
+    first, fixing it false lowers the second, and the clause is violated
+    once either is negative. A clause with q > p can never be met, so both
+    of its counters start at 0 and any fixed literal cuts the branch.
     """
 
     def __init__(self, instance: Instance, reduction: Reduction, find_first: bool):
-        self.instance = instance
         self.find_first = find_first
         sf = reduction.standard
-        self.k = sf.free_count
-        self.perm = sf.perm
-        self.dep_offset = sf.dependent_offset
-        self.supports = [np.nonzero(row)[0] for row in sf.h]
-        ready_depth = [int(s.max()) + 1 if s.size else 0 for s in self.supports]
-        self.deps_at: list[list[int]] = [[] for _ in range(self.k + 1)]
-        for j, depth in enumerate(ready_depth):
-            self.deps_at[depth].append(j)
-        self.clauses_of_var: list[list[int]] = [[] for _ in range(instance.n)]
+        self.k = k = sf.free_count
+        perm = [int(v) for v in sf.perm]
+        self.n = len(perm)
+        self.slack: list[int] = []
+        # lowered[var][value]: the counters that fixing var to value lowers
+        self.lowered: list[tuple[list[int], list[int]]] = [([], []) for _ in perm]
         for a, c in enumerate(instance.clauses):
+            self.slack += [c.q, c.p - c.q] if c.q <= c.p else [0, 0]
             for lit in c.literals:
-                self.clauses_of_var[lit.var].append(a)
-        self.partial = np.full(instance.n, INDETERMINATE, dtype=np.int8)
-        self.vbits = np.zeros(self.k, dtype=np.uint8)
-        self.nodes_per_depth = [0] * (self.k + 1)
+                self.lowered[lit.var][1 - lit.negated].append(2 * a)
+                self.lowered[lit.var][lit.negated].append(2 * a + 1)
+        # steps[d]: the (var, offset, support mask) determined at depth d; the
+        # value is offset XOR the parity of the fixed parameter bits in the mask
+        self.steps: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        for d in range(k):
+            self.steps[d + 1].append((perm[d], 0, 1 << d))
+        for j, row in enumerate(sf.h):
+            support = [int(c) for c in np.flatnonzero(row)]
+            mask = sum(1 << c for c in support)
+            ready = support[-1] + 1 if support else 0
+            self.steps[ready].append((perm[k + j], int(sf.dependent_offset[j]), mask))
+        self.nodes_per_depth = [0] * (k + 1)
         self.solution_count = 0
         self.first_solution: np.ndarray | None = None
 
     def run(self) -> TreeStats:
-        self._visit(0)
-        return TreeStats(sum(self.nodes_per_depth), tuple(self.nodes_per_depth))
-
-    def _visit(self, depth: int) -> bool:
-        self.nodes_per_depth[depth] += 1
-        newly_determined = []
-        if depth > 0:
-            var = int(self.perm[depth - 1])
-            self.partial[var] = self.vbits[depth - 1]
-            newly_determined.append(var)
-        for j in self.deps_at[depth]:
-            value = int(self.dep_offset[j])
-            for c in self.supports[j]:
-                value ^= int(self.vbits[c])
-            var = int(self.perm[self.k + j])
-            self.partial[var] = value
-            newly_determined.append(var)
-
-        done = False
-        if not self._violates(newly_determined):
-            if depth == self.k:
+        k, steps, slack, lowered = self.k, self.steps, self.slack, self.lowered
+        nodes = self.nodes_per_depth
+        values = [0] * self.n
+        applied: list[list[list[int]]] = [[] for _ in range(k + 1)]  # undo log per depth
+        depth = 0
+        bits = 0  # bit d is the branch taken at depth d, for d < depth
+        while depth >= 0:
+            nodes[depth] += 1
+            log = applied[depth]
+            ok = True
+            for var, offset, mask in steps[depth]:
+                value = offset ^ ((bits & mask).bit_count() & 1)
+                values[var] = value
+                lowers = lowered[var][value]
+                log.append(lowers)
+                for i in lowers:
+                    s = slack[i] - 1
+                    slack[i] = s
+                    if s < 0:
+                        ok = False
+                if not ok:
+                    break
+            if ok:
+                if depth < k:
+                    bits &= ~(1 << depth)
+                    depth += 1
+                    continue
                 self.solution_count += 1
                 if self.first_solution is None:
-                    self.first_solution = self.partial.astype(np.uint8).copy()
-                done = self.find_first
-            else:
-                for bit in (0, 1):
-                    self.vbits[depth] = bit
-                    if self._visit(depth + 1):
-                        done = True
-                        break
-        for var in newly_determined:
-            self.partial[var] = INDETERMINATE
-        return done
-
-    def _violates(self, newly_determined) -> bool:
-        seen = set()
-        for var in newly_determined:
-            for a in self.clauses_of_var[var]:
-                if a in seen:
-                    continue
-                seen.add(a)
-                status = eval_clause_partial(self.instance.clauses[a], self.partial)
-                if status is ClauseStatus.VIOLATED:
-                    return True
-        return False
+                    self.first_solution = np.array(values, dtype=np.uint8)
+                if self.find_first:
+                    break
+            # Leave nodes until one has an untried 1-branch sibling.
+            while depth >= 0:
+                log = applied[depth]
+                for lowers in log:
+                    for i in lowers:
+                        slack[i] += 1
+                log.clear()
+                depth -= 1
+                if depth >= 0 and not bits >> depth & 1:
+                    bits |= 1 << depth
+                    depth += 1
+                    break
+        return TreeStats(sum(nodes), tuple(nodes))
 
 
 def backtrack_solve(instance: Instance, reduction) -> tuple[SolveOutcome, TreeStats]:

@@ -6,7 +6,9 @@ the locked generator produces none of these. The reduced-space scan
 packs 64 candidates per word and counts true literals in a bit-sliced
 counter, so its tests also reach arities up to 8 (counters of 3 and 4
 bits), k below 6 (a block narrower than one word) and n above 64, where
-brute force cannot run and the backtrackers are the reference.
+brute force cannot run and the backtrackers are the reference. The
+backtrackers' decision trees are compared node for node with a recursive
+reference walk that re-evaluates every touched clause at each node.
 """
 
 from __future__ import annotations
@@ -18,9 +20,24 @@ from hypothesis import strategies as st
 from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import OracleSpec
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
-from xorsat_reduce.instances import Clause, Instance, Literal, brute_force_solutions
+from xorsat_reduce.instances import (
+    INDETERMINATE,
+    Clause,
+    ClauseStatus,
+    Instance,
+    Literal,
+    brute_force_solutions,
+    eval_clause_partial,
+)
 from xorsat_reduce.reduction import XorInfeasible, expand_batch, reduce_instance
-from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
+from xorsat_reduce.solvers import (
+    TreeStats,
+    backtrack_count,
+    backtrack_solve,
+    count_enumerate,
+    optimize_permutation,
+    solve_enumerate,
+)
 
 from conftest import reference_satisfies
 
@@ -141,3 +158,78 @@ def test_scan_consumers_agree_with_backtracking_beyond_64_variables(inst):
     assert outcome.satisfiable == backtrack_solve(inst, reduction)[0].satisfiable == (count > 0)
     if outcome.satisfiable:
         assert reference_satisfies(inst, [int(b) for b in outcome.assignment])
+
+
+def reference_tree(inst, reduction, find_first: bool):
+    """Recursive walk of the standard-form decision tree, clauses re-evaluated at every node.
+
+    Free variables are fixed in perm order, branch 0 before 1; a dependent
+    variable is determined at the depth where its last support variable is
+    fixed; a node is cut when a clause containing a newly determined
+    variable is violated. Returns (solution count, nodes per depth, first
+    solution or None); with find_first the walk stops at the first leaf.
+    """
+    sf = reduction.standard
+    k = sf.free_count
+    supports = [np.flatnonzero(row) for row in sf.h]
+    deps_at = [[] for _ in range(k + 1)]
+    for j, support in enumerate(supports):
+        deps_at[int(support.max()) + 1 if support.size else 0].append(j)
+    clauses_of = [[] for _ in range(inst.n)]
+    for c in inst.clauses:
+        for lit in c.literals:
+            clauses_of[lit.var].append(c)
+    partial = np.full(inst.n, INDETERMINATE, dtype=np.int8)
+    vbits = [0] * k
+    nodes = [0] * (k + 1)
+    found = []
+
+    def visit(depth: int) -> bool:
+        nodes[depth] += 1
+        newly = []
+        if depth > 0:
+            newly.append((int(sf.perm[depth - 1]), vbits[depth - 1]))
+        for j in deps_at[depth]:
+            value = (int(sf.dependent_offset[j]) + sum(vbits[c] for c in supports[j])) % 2
+            newly.append((int(sf.perm[k + j]), value))
+        for var, value in newly:
+            partial[var] = value
+        done = False
+        if not any(eval_clause_partial(c, partial) is ClauseStatus.VIOLATED
+                   for var, _ in newly for c in clauses_of[var]):
+            if depth == k:
+                found.append(partial.astype(np.uint8))
+                done = find_first
+            else:
+                for bit in (0, 1):
+                    vbits[depth] = bit
+                    if visit(depth + 1):
+                        done = True
+                        break
+        for var, _ in newly:
+            partial[var] = INDETERMINATE
+        return done
+
+    visit(0)
+    return len(found), tuple(nodes), found[0] if found else None
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(small_instances(max_n=12, max_arity=6))
+def test_backtrack_trees_match_the_recursive_reference(inst):
+    reduction = reduce_instance(inst)
+    if isinstance(reduction, XorInfeasible):
+        assert backtrack_count(inst, reduction) == (0, TreeStats(0, ()))
+        return
+    for r in (reduction, optimize_permutation(inst, reduction, trials=3)):
+        count, nodes, _ = reference_tree(inst, r, find_first=False)
+        assert backtrack_count(inst, r) == (count, TreeStats(sum(nodes), nodes))
+
+        _, nodes, first = reference_tree(inst, r, find_first=True)
+        outcome, stats = backtrack_solve(inst, r)
+        assert stats == TreeStats(sum(nodes), nodes)
+        assert outcome.queries == nodes[-1]
+        assert outcome.satisfiable == (first is not None)
+        if first is not None:
+            assert outcome.assignment.dtype == np.uint8
+            assert np.array_equal(outcome.assignment, first)

@@ -22,6 +22,8 @@ from xorsat_reduce.instances import (
     gen_locked_random,
     parse_instance,
 )
+from xorsat_reduce.reduction import reduce_instance
+from xorsat_reduce.solvers import backtrack_count, count_enumerate
 
 from conftest import CHAIN_SOLUTIONS, reference_satisfies, reference_solutions
 
@@ -214,6 +216,13 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             brute_force_solutions(Instance(25, ()))
+
+    def test_occupation_beyond_int64_is_never_met(self):
+        inst = Instance(4, (clause([(0, False), (1, False)], 1 << 70),))
+        assert brute_force_solutions(inst) == []
+        assert not eval_batch(inst, np.ones((1, 4), dtype=np.uint8)).any()
+        r = reduce_instance(inst)
+        assert count_enumerate(inst, r) == backtrack_count(inst, r)[0] == 0
 
     def test_random_instances_against_reference(self):
         rng = np.random.default_rng(29)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.instances import (
     Instance,
@@ -19,6 +21,7 @@ from xorsat_reduce.instances import (
 from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
+    build_linear_system,
     expand,
     expand_standard,
     reduce_instance,
@@ -184,6 +187,41 @@ class TestBacktrack:
         r = reduce_instance(chain_instance)
         outcome, stats = backtrack_solve(chain_instance, r)
         assert outcome.queries == stats.nodes_per_depth[r.free_count]
+
+    def test_deep_chain_needs_no_recursion(self):
+        """k = 1500 disjoint 1-in-2 clauses: one node per depth, under the default recursion limit.
+
+        The reduction is built by hand (kernel rows e_2i + e_2i+1, offset the
+        odd coordinates, h the identity), because dense elimination at n = 3000
+        takes seconds.
+        """
+        k = 1500
+        n = 2 * k
+        inst = Instance(n, tuple(clause([(2 * i, False), (2 * i + 1, False)], 1) for i in range(k)))
+        kernel = np.zeros((k, n), dtype=np.uint8)
+        kernel[np.arange(k), 0::2] = kernel[np.arange(k), 1::2] = np.eye(k, dtype=np.uint8)
+        offset = np.tile(np.array([0, 1], dtype=np.uint8), k)
+        standard = gf2.StandardForm(
+            perm=np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)]),
+            h=np.eye(k, dtype=np.uint8),
+            offset=np.concatenate([np.zeros(k, dtype=np.uint8), np.ones(k, dtype=np.uint8)]),
+        )
+        system = build_linear_system(inst)
+        assert np.array_equal(gf2.matvec(system.matrix, offset), system.rhs)
+        # A @ kernel.T over the integers (entries at most 2, exact in float32), then mod 2
+        assert not ((system.matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
+        r = Reduction(kernel=kernel, offset=offset, m_prime=n - k, standard=standard)
+        v = np.arange(k) % 2
+        assert np.array_equal(expand_standard(r, v), expand(r, v))
+
+        assert sys.getrecursionlimit() < k
+        outcome, stats = backtrack_solve(inst, r)
+        assert outcome.satisfiable
+        assert outcome.queries == 1
+        assert stats.nodes_per_depth == (1,) * (k + 1)
+        assert stats.total_nodes == k + 1
+        assert eval_instance(inst, outcome.assignment)
+        assert np.array_equal(outcome.assignment, offset)
 
 
 class TestOptimizePermutation:
