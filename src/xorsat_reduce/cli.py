@@ -1,7 +1,7 @@
 """Command-line front end: instance/graph I/O, solver dispatch, ensemble sweeps.
 
-Exit codes: 0 success (including certified UNSAT), 2 parse error,
-3 guard exceeded, 4 generation failure.
+Exit codes: 0 success (including certified UNSAT), 2 parse error or
+unreadable input file, 3 guard exceeded, 4 generation failure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ TREE_CSV_FIELDS = [
     "samples", "failures", "guard_skips", "mean_sqrt_t", "gamma",
     "mean_sqrt_t_unoptimized", "gamma_unoptimized",
 ]
+
+
+class _UnreadableInput(Exception):
+    """An input file that is missing, not a regular file, or not UTF-8 text."""
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file; any failure to read it becomes _UnreadableInput."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise _UnreadableInput(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise _UnreadableInput(f"cannot read {path}: {err}") from None
 
 
 def _write_text(args, text: str):
@@ -83,7 +97,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(_read_input(args.instance))
     outcome = reduce_instance(instance)
     if isinstance(outcome, XorInfeasible):
         record = {"status": "UNSAT (XOR-certified)", "queries": 0, "n": instance.n,
@@ -105,7 +119,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(_read_input(args.instance))
     outcome = reduce_instance(instance)
     count = count_enumerate(instance, outcome)
     record = {"status": f"COUNT={count}", "count": count, "n": instance.n, "m": instance.m,
@@ -115,7 +129,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_backtrack(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(_read_input(args.instance))
     outcome = reduce_instance(instance)
     if not isinstance(outcome, XorInfeasible) and args.perm_trials > 0:
         outcome = optimize_permutation(instance, outcome, trials=args.perm_trials, seed=args.seed)
@@ -149,7 +163,7 @@ def cmd_backtrack(args) -> int:
 
 
 def cmd_grover(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(_read_input(args.instance))
     outcome = reduce_instance(instance)
     if isinstance(outcome, XorInfeasible):
         record = {"status": "UNSAT (XOR-certified)", "queries": 0, "seed": args.seed,
@@ -173,7 +187,7 @@ def cmd_grover(args) -> int:
 
 
 def cmd_grover_cost(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(_read_input(args.instance))
     outcome = reduce_instance(instance)
     record = {"n": instance.n, "m": instance.m, **_reduction_fields(instance, outcome)}
     if isinstance(outcome, XorInfeasible):
@@ -202,12 +216,12 @@ def cmd_grover_cost(args) -> int:
 
 
 def cmd_hc(args) -> int:
-    graph = parse_graph(Path(args.graph).read_text())
+    graph = parse_graph(_read_input(args.graph))
     instance = hc_to_occupation(graph)
     outcome = reduce_instance(instance)
     record = {"n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
               **_reduction_fields(instance, outcome)}
-    values = solve_hc(graph)
+    values = solve_hc(graph, outcome)
     if values is None:
         record = {"status": "NO-HC", **record}
     else:
@@ -343,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
+    except (ParseError, _UnreadableInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except GuardExceeded as err:

@@ -1,9 +1,13 @@
-"""Dense linear algebra over GF(2).
+"""Linear algebra over GF(2) on packed rows.
 
-Matrices and vectors are numpy uint8 arrays with entries in {0, 1}; all
-arithmetic is modulo 2 (XOR row operations). Elimination uses a fixed
-pivot rule -- leftmost eligible column, lowest-index row -- so rank,
-kernel and standard-form outputs are deterministic for a given input.
+Matrices and vectors cross the API as numpy uint8 arrays with entries in
+{0, 1}. Inside, each row is one Python int with bit c holding column c,
+so a row operation is one XOR. Every elimination runs `_gauss_jordan`:
+its pivot rule -- leftmost eligible column (or the caller's column
+order), first eligible row, swapped up -- makes rank, kernel and
+standard-form outputs deterministic for a given input. `eliminate`
+reduces a system [A | b | I] once; its rank, RREF kernel, particular
+solution and inconsistency witness are all read off that one pass.
 """
 
 from __future__ import annotations
@@ -39,6 +43,117 @@ def as_bin_matrix(m, cols: int | None = None) -> np.ndarray:
     return arr
 
 
+def _pack(mat: np.ndarray) -> list[int]:
+    """The rows of a validated 0/1 matrix as Python ints, bit c holding column c."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width == 0:
+        return [0] * rows
+    data = packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+
+
+def _unpack(rows: list[int], width: int) -> np.ndarray:
+    """(len(rows), width) uint8 matrix of packed rows that hold no bit at or above `width`."""
+    row_bytes = (width + 7) // 8
+    data = b"".join(row.to_bytes(row_bytes, "little") for row in rows)
+    grid = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), row_bytes)
+    return np.unpackbits(grid, axis=1, count=width, bitorder="little")
+
+
+def _gauss_jordan(rows: list[int], columns) -> list[int]:
+    """Reduce packed rows in place, pivoting on `columns` in order; returns the pivot columns.
+
+    For each column, the first row at or below the next pivot row that
+    has the column's bit is swapped up and XORed out of every other row;
+    a column no such row has is skipped. With columns = range(c) the
+    result is the RREF restricted to pivots among the first c columns.
+    """
+    pivots: list[int] = []
+    top = 0
+    count = len(rows)
+    for col in columns:
+        if top == count:
+            break
+        bit = 1 << col
+        for i in range(top, count):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        pivot = rows[i]
+        rows[i] = rows[top]
+        rows[:] = [row ^ pivot if row & bit else row for row in rows]
+        rows[top] = pivot
+        pivots.append(col)
+        top += 1
+    return pivots
+
+
+@dataclass(frozen=True, eq=False)
+class Elimination:
+    """One left-to-right elimination of the packed rows [A | b | I] of a system A x = b.
+
+    Row i holds A's row i in bits 0..n-1, b_i in bit n and a tracker bit
+    n + 1 + i, so after elimination each row records which original rows
+    it is the sum of. Pivots lie among the first n columns.
+    """
+
+    rows: list[int]
+    pivots: list[int]
+    n: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def particular(self) -> np.ndarray | None:
+        """The solution with every free variable 0, or None when A x = b is inconsistent."""
+        if self.witness() is not None:
+            return None
+        x = 0
+        for row, col in zip(self.rows, self.pivots):
+            x |= (row >> self.n & 1) << col
+        return _unpack([x], self.n)[0]
+
+    def witness(self) -> list[int] | None:
+        """Rows of A summing to zero while their b entries sum to 1, or None if consistent."""
+        for row in self.rows[self.rank:]:
+            if row >> self.n & 1:
+                tracker = row >> (self.n + 1)
+                return [i for i in range(tracker.bit_length()) if tracker >> i & 1]
+        return None
+
+    def kernel(self) -> np.ndarray:
+        """RREF null-space basis of A: one row per free column, in increasing order.
+
+        The row of free column c has a 1 at c and, at each pivot column,
+        the pivot row's entry in column c.
+        """
+        pivot_set = set(self.pivots)
+        free = [c for c in range(self.n) if c not in pivot_set]
+        reduced = _unpack([row & ((1 << self.n) - 1) for row in self.rows[: self.rank]], self.n)
+        basis = np.zeros((len(free), self.n), dtype=np.uint8)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, self.pivots] = reduced[:, free].T
+        return basis
+
+
+def eliminate(rows: list[int], rhs: list[int], n: int) -> Elimination:
+    """Eliminate A x = b given A's packed rows (bits below n) and b's 0/1 entries."""
+    system = [row | b << n | 1 << (n + 1 + i) for i, (row, b) in enumerate(zip(rows, rhs))]
+    pivots = _gauss_jordan(system, range(n))
+    return Elimination(rows=system, pivots=pivots, n=n)
+
+
+def _eliminate_arrays(m, b) -> Elimination:
+    mat = as_bin_matrix(m)
+    rhs = as_bin_vec(b)
+    if rhs.size != mat.shape[0]:
+        raise ValueError(f"rhs length {rhs.size} != matrix rows {mat.shape[0]}")
+    return eliminate(_pack(mat), rhs.tolist(), mat.shape[1])
+
+
 def row_reduce(m) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(2).
 
@@ -47,37 +162,23 @@ def row_reduce(m) -> tuple[np.ndarray, list[int]]:
         pivot_cols lists the pivot column indices in increasing order;
         len(pivot_cols) is the GF(2) rank.
     """
-    mat = as_bin_matrix(m).copy()
-    return mat, _eliminate(mat, mat.shape[1])
-
-
-def _eliminate(mat: np.ndarray, n_pivot_cols: int) -> list[int]:
-    """In-place RREF restricted to pivots in the first `n_pivot_cols` columns."""
-    n_rows = mat.shape[0]
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_pivot_cols):
-        if row == n_rows:
-            break
-        hits = np.nonzero(mat[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = row + hits[0]
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-        mask = mat[:, col] == 1
-        mask[row] = False
-        if mask.any():
-            mat[mask] ^= mat[row]
-        pivots.append(col)
-        row += 1
-    return pivots
+    mat = as_bin_matrix(m)
+    rows = _pack(mat)
+    pivots = _gauss_jordan(rows, range(mat.shape[1]))
+    return _unpack(rows, mat.shape[1]), pivots
 
 
 def rank(m) -> int:
-    """GF(2) row rank."""
-    _, pivots = row_reduce(m)
-    return len(pivots)
+    """GF(2) row rank: the size of an echelon basis keyed by each row's leading bit."""
+    basis: dict[int, int] = {}
+    for row in _pack(as_bin_matrix(m)):
+        while row:
+            lead = row.bit_length()
+            if lead not in basis:
+                basis[lead] = row
+                break
+            row ^= basis[lead]
+    return len(basis)
 
 
 def matvec(m, v) -> np.ndarray:
@@ -98,16 +199,7 @@ def kernel_basis(m) -> np.ndarray:
     columns; for a zero-row input this is the full standard basis.
     """
     mat = as_bin_matrix(m)
-    n = mat.shape[1]
-    rref, pivots = row_reduce(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = rref[row, c]
-    return basis
+    return _eliminate_arrays(mat, np.zeros(mat.shape[0], dtype=np.uint8)).kernel()
 
 
 def solve_particular(m, b) -> np.ndarray | None:
@@ -115,18 +207,7 @@ def solve_particular(m, b) -> np.ndarray | None:
 
     Free variables are set to 0, so the result is deterministic.
     """
-    mat = as_bin_matrix(m)
-    rhs = as_bin_vec(b)
-    if rhs.size != mat.shape[0]:
-        raise ValueError(f"rhs length {rhs.size} != matrix rows {mat.shape[0]}")
-    aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
-    pivots = _eliminate(aug, mat.shape[1])
-    if np.any(aug[len(pivots):, -1]):
-        return None
-    x = np.zeros(mat.shape[1], dtype=np.uint8)
-    for row, col in enumerate(pivots):
-        x[col] = aug[row, -1]
-    return x
+    return _eliminate_arrays(m, b).particular()
 
 
 def inconsistency_witness(m, b) -> list[int] | None:
@@ -135,21 +216,7 @@ def inconsistency_witness(m, b) -> list[int] | None:
     The returned rows XOR to the zero vector on the matrix side while
     their `b` entries XOR to 1, certifying that no solution exists.
     """
-    mat = as_bin_matrix(m)
-    rhs = as_bin_vec(b)
-    if rhs.size != mat.shape[0]:
-        raise ValueError(f"rhs length {rhs.size} != matrix rows {mat.shape[0]}")
-    n_rows, n_cols = mat.shape
-    # Track row operations in an appended identity block: after elimination
-    # each row equals the XOR of the original rows flagged in its tracker.
-    aug = np.concatenate(
-        [mat, rhs.reshape(-1, 1), np.eye(n_rows, dtype=np.uint8)], axis=1
-    )
-    pivots = _eliminate(aug, n_cols)
-    for row in range(len(pivots), n_rows):
-        if aug[row, n_cols]:
-            return [int(i) for i in np.nonzero(aug[row, n_cols + 1:])[0]]
-    return None
+    return _eliminate_arrays(m, b).witness()
 
 
 def inverse(m) -> np.ndarray:
@@ -158,11 +225,10 @@ def inverse(m) -> np.ndarray:
     k = mat.shape[0]
     if mat.shape[1] != k:
         raise ValueError(f"matrix is not square: {mat.shape}")
-    aug = np.concatenate([mat, np.eye(k, dtype=np.uint8)], axis=1)
-    pivots = _eliminate(aug, k)
-    if len(pivots) != k:
+    rows = [row | 1 << (k + i) for i, row in enumerate(_pack(mat))]
+    if len(_gauss_jordan(rows, range(k))) != k:
         raise ValueError("matrix is singular over GF(2)")
-    return aug[:, k:].copy()
+    return _unpack([row >> k for row in rows], k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,24 +278,28 @@ def standard_form(kernel, offset, selection=None) -> StandardForm:
     k, n = basis.shape
     if point.size != n:
         raise ValueError(f"offset length {point.size} != kernel width {n}")
+    *rows, reduced_point = _pack(np.vstack([basis, point]))
     if selection is None:
-        _, pivots = row_reduce(basis)
-        if len(pivots) != k:
+        sel = _gauss_jordan(rows, range(n))
+        if len(sel) != k:
             raise ValueError("kernel rows are linearly dependent")
-        sel = pivots
     else:
         sel = [int(c) for c in selection]
         if len(sel) != k or len(set(sel)) != k or not all(0 <= c < n for c in sel):
             raise ValueError("selection must be k distinct coordinate indices")
+        if len(_gauss_jordan(rows, sel)) != k:
+            raise ValueError("matrix is singular over GF(2)")
+    # Row i of the reduced basis is U^-1 @ basis with U = basis[:, sel]:
+    # a 1 at sel[i], 0 at every other selected column. Reducing the
+    # offset by it clears the selected columns, leaving the dependent
+    # offset on the rest.
+    for row, c in zip(rows, sel):
+        if reduced_point >> c & 1:
+            reduced_point ^= row
     chosen = set(sel)
     rest = [c for c in range(n) if c not in chosen]
-    u_inv = inverse(basis[:, sel])  # raises if the selection is rank-deficient
-    # Rows of `w` map the free block to the dependent block: with
-    # v_free = v @ U, we get x[rest] = v_free @ w (+ offset terms).
-    w = (u_inv.astype(np.int64) @ basis[:, rest].astype(np.int64) % 2).astype(np.uint8)
-    tail = (point[sel].astype(np.int64) @ w.astype(np.int64) % 2).astype(np.uint8)
-    tail ^= point[rest]
-    perm = np.array(sel + rest, dtype=np.int64)
+    bits = _unpack([*rows, reduced_point], n)[:, rest]
     full_offset = np.zeros(n, dtype=np.uint8)
-    full_offset[k:] = tail
-    return StandardForm(perm=perm, h=w.T.copy(), offset=full_offset)
+    full_offset[k:] = bits[k]
+    return StandardForm(perm=np.array(sel + rest, dtype=np.int64), h=bits[:k].T.copy(),
+                        offset=full_offset)

@@ -87,7 +87,9 @@ def uniform_state(k: int) -> np.ndarray:
 
 
 def _check_normalized(state: np.ndarray):
-    norm2 = float(np.vdot(state, state).real)
+    # Not np.vdot: on 2^k >= 8192 amplitudes it wakes OpenBLAS's thread
+    # pool, whose workers keep spinning on the other core after it returns.
+    norm2 = float(np.sum(state.real**2 + state.imag**2))
     if abs(norm2 - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: |s|^2 = {norm2}")
 

@@ -157,14 +157,16 @@ def is_hamiltonian_cycle(graph: Graph, edge_values) -> bool:
     return reached == graph.n_nodes
 
 
-def solve_hc(graph: Graph) -> np.ndarray | None:
+def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
     """One Hamiltonian cycle as an edge assignment, or None (certified).
 
     Enumerates the reduced space of the 2-in-degree instance and filters
     with the connectivity check; guarded to k <= 30 free dimensions.
+    `reduction` is that instance's reduce_instance outcome, computed
+    here when not given.
     """
     instance = hc_to_occupation(graph)
-    outcome = reduce_instance(instance)
+    outcome = reduce_instance(instance) if reduction is None else reduction
     if isinstance(outcome, XorInfeasible):
         return None
     for start, degree_ok in scan(instance, outcome):
@@ -290,6 +292,7 @@ def parse_graph(text: str) -> Graph:
     n = None
     m_declared = 0
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -321,8 +324,9 @@ def parse_graph(text: str) -> Graph:
             if u == v:
                 raise ParseError(lineno, f"self-loop at node {u}")
             pair = (min(u, v) - 1, max(u, v) - 1)
-            if pair in edges:
+            if pair in seen:
                 raise ParseError(lineno, f"duplicate edge {u} {v}")
+            seen.add(pair)
             edges.append(pair)
             continue
         raise ParseError(lineno, f"unrecognized line {line!r}")

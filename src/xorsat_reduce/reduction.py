@@ -84,19 +84,28 @@ def build_linear_system(instance: Instance) -> LinearSystem:
 def reduce_instance(instance: Instance):
     """Reduction of the parity system, or an XorInfeasible certificate.
 
-    On success the affine space {expand(r, v)} has exactly 2^(n - m_prime)
-    points and contains every satisfying assignment of the instance.
+    One elimination of the packed rows [A | b | I] gives the rank, the
+    particular solution, the witness and the RREF kernel. On success the
+    affine space {expand(r, v)} has exactly 2^(n - m_prime) points and
+    contains every satisfying assignment of the instance.
     """
-    system = build_linear_system(instance)
-    offset = gf2.solve_particular(system.matrix, system.rhs)
+    rows = []
+    rhs = []
+    for c in instance.clauses:
+        row = 0
+        for lit in c.literals:
+            row |= 1 << lit.var
+        rows.append(row)
+        rhs.append((c.negation_count + c.q) % 2)
+    system = gf2.eliminate(rows, rhs, instance.n)
+    offset = system.particular()
     if offset is None:
-        witness = gf2.inconsistency_witness(system.matrix, system.rhs)
-        return XorInfeasible(witness=tuple(witness))
-    kernel = gf2.kernel_basis(system.matrix)
+        return XorInfeasible(witness=tuple(system.witness()))
+    kernel = system.kernel()
     return Reduction(
         kernel=kernel,
         offset=offset,
-        m_prime=instance.n - kernel.shape[0],
+        m_prime=system.rank,
         standard=gf2.standard_form(kernel, offset),
     )
 

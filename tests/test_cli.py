@@ -125,6 +125,23 @@ class TestSolveCount:
         assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost", "hc"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_exits_2_with_reason(capsys, tmp_path, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"p occ 1 1 1\n\xff 0\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    reason = {"missing": "No such file or directory", "directory": "Is a directory",
+              "not-utf8": "can't decode byte 0xff"}[kind]
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+    assert reason in captured.err and captured.err.count("\n") == 1
+
+
 class TestBacktrack:
     def test_chain(self, capsys, chain_file):
         record = run_json(capsys, "backtrack", chain_file, "--json")

@@ -1,4 +1,6 @@
-"""GF(2) linear algebra: examples with brute-force oracles, plus invariant sweeps."""
+"""GF(2) linear algebra: examples with brute-force oracles, invariant sweeps,
+hypothesis property tests, and a byte-for-byte differential test against a
+copy of the dense numpy elimination the packed-row core replaced."""
 
 from __future__ import annotations
 
@@ -6,8 +8,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsat_reduce import gf2
+from xorsat_reduce.hamcycle import Graph, hc_to_occupation
+from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
+from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
+
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
 
 def all_vectors(n):
@@ -279,3 +288,308 @@ class TestStandardForm:
         kernel = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
             gf2.standard_form(kernel, np.zeros(4, dtype=np.uint8), selection=[2, 3])
+
+
+# Property tests, and a differential test against the dense elimination
+# that the packed-row core replaced.
+
+
+def dense_eliminate(mat, n_pivot_cols):
+    """In-place RREF restricted to pivots in the first `n_pivot_cols` columns."""
+    n_rows = mat.shape[0]
+    pivots = []
+    row = 0
+    for col in range(n_pivot_cols):
+        if row == n_rows:
+            break
+        hits = np.nonzero(mat[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = row + hits[0]
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+        mask = mat[:, col] == 1
+        mask[row] = False
+        if mask.any():
+            mat[mask] ^= mat[row]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+class Dense:
+    """The dense numpy elimination that the packed-row core replaced, kept as the reference."""
+
+    @staticmethod
+    def row_reduce(m):
+        mat = gf2.as_bin_matrix(m).copy()
+        return mat, dense_eliminate(mat, mat.shape[1])
+
+    @staticmethod
+    def rank(m):
+        return len(Dense.row_reduce(m)[1])
+
+    @staticmethod
+    def kernel_basis(m):
+        mat = gf2.as_bin_matrix(m)
+        n = mat.shape[1]
+        rref, pivots = Dense.row_reduce(mat)
+        free = [c for c in range(n) if c not in set(pivots)]
+        basis = np.zeros((len(free), n), dtype=np.uint8)
+        for i, c in enumerate(free):
+            basis[i, c] = 1
+            for row, pc in enumerate(pivots):
+                basis[i, pc] = rref[row, c]
+        return basis
+
+    @staticmethod
+    def solve_particular(m, b):
+        mat, rhs = gf2.as_bin_matrix(m), gf2.as_bin_vec(b)
+        aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
+        pivots = dense_eliminate(aug, mat.shape[1])
+        if np.any(aug[len(pivots):, -1]):
+            return None
+        x = np.zeros(mat.shape[1], dtype=np.uint8)
+        for row, col in enumerate(pivots):
+            x[col] = aug[row, -1]
+        return x
+
+    @staticmethod
+    def inconsistency_witness(m, b):
+        mat, rhs = gf2.as_bin_matrix(m), gf2.as_bin_vec(b)
+        n_rows, n_cols = mat.shape
+        aug = np.concatenate([mat, rhs.reshape(-1, 1), np.eye(n_rows, dtype=np.uint8)], axis=1)
+        pivots = dense_eliminate(aug, n_cols)
+        for row in range(len(pivots), n_rows):
+            if aug[row, n_cols]:
+                return [int(i) for i in np.nonzero(aug[row, n_cols + 1:])[0]]
+        return None
+
+    @staticmethod
+    def inverse(m):
+        mat = gf2.as_bin_matrix(m)
+        k = mat.shape[0]
+        if mat.shape[1] != k:
+            raise ValueError(f"matrix is not square: {mat.shape}")
+        aug = np.concatenate([mat, np.eye(k, dtype=np.uint8)], axis=1)
+        if len(dense_eliminate(aug, k)) != k:
+            raise ValueError("matrix is singular over GF(2)")
+        return aug[:, k:].copy()
+
+    @staticmethod
+    def standard_form(kernel, offset, selection=None):
+        basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
+        point = gf2.as_bin_vec(offset)
+        k, n = basis.shape
+        if selection is None:
+            _, pivots = Dense.row_reduce(basis)
+            if len(pivots) != k:
+                raise ValueError("kernel rows are linearly dependent")
+            sel = pivots
+        else:
+            sel = [int(c) for c in selection]
+        rest = [c for c in range(n) if c not in set(sel)]
+        u_inv = Dense.inverse(basis[:, sel])
+        w = (u_inv.astype(np.int64) @ basis[:, rest].astype(np.int64) % 2).astype(np.uint8)
+        tail = (point[sel].astype(np.int64) @ w.astype(np.int64) % 2).astype(np.uint8)
+        tail ^= point[rest]
+        full_offset = np.zeros(n, dtype=np.uint8)
+        full_offset[k:] = tail
+        return gf2.StandardForm(perm=np.array(sel + rest, dtype=np.int64), h=w.T.copy(),
+                                offset=full_offset)
+
+    @staticmethod
+    def reduce_instance(instance):
+        system = build_linear_system(instance)
+        offset = Dense.solve_particular(system.matrix, system.rhs)
+        if offset is None:
+            return XorInfeasible(tuple(Dense.inconsistency_witness(system.matrix, system.rhs)))
+        kernel = Dense.kernel_basis(system.matrix)
+        return kernel, offset, instance.n - kernel.shape[0], Dense.standard_form(kernel, offset)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_standard_form(got, want):
+    for name in ("perm", "h", "offset"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args), None
+    except ValueError as err:
+        return None, str(err)
+
+
+@st.composite
+def bin_matrices(draw, max_rows: int = 10, max_cols: int = 12):
+    """Random 0/1 matrices, n = 0 and M = 0 included, some with duplicated rows."""
+    cols = draw(st.integers(0, max_cols))
+    values = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
+    if values and draw(st.booleans()):
+        values += draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+        values = draw(st.permutations(values))
+    return np.array([[(v >> c) & 1 for c in range(cols)] for v in values],
+                    dtype=np.uint8).reshape(len(values), cols)
+
+
+@st.composite
+def systems(draw):
+    mat = draw(bin_matrices())
+    rhs = np.array(draw(st.lists(st.integers(0, 1), min_size=mat.shape[0], max_size=mat.shape[0])),
+                   dtype=np.uint8)
+    return mat, rhs
+
+
+@st.composite
+def affine_spaces(draw):
+    """(kernel, offset): an RREF kernel, a row-mixed copy of it, or k = n; k <= 7."""
+    mat = draw(bin_matrices(max_cols=10))
+    n = mat.shape[1]
+    kernel = gf2.kernel_basis(mat) if draw(st.booleans()) else np.eye(n, dtype=np.uint8)
+    kernel = kernel[:7]
+    k = kernel.shape[0]
+    for _ in range(draw(st.integers(0, 2 * k))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            kernel[i] ^= kernel[j]
+    offset = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    return kernel, offset
+
+
+@st.composite
+def selections(draw, kernel):
+    """A full-rank block in a random column order, or any k distinct columns."""
+    k, n = kernel.shape
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        _, pivots = Dense.row_reduce(kernel[:, order])
+        return [order[c] for c in pivots]
+    return order[:k]
+
+
+@st.composite
+def parity_instances(draw):
+    """Random clause sets (often XOR-infeasible), locked instances, or HC instances."""
+    kind = draw(st.sampled_from(["random", "locked", "hc"]))
+    if kind == "locked":
+        n = draw(st.sampled_from([6, 9, 12, 21, 24, 40]))
+        p, q = draw(st.sampled_from([(3, 1), (4, 2)]))
+        m = draw(st.integers(-(-2 * n // p), n))
+        return gen_locked_random(n, m, p, q, seed=draw(st.integers(0, 2**32 - 1)))
+    if kind == "hc":
+        nodes = draw(st.integers(1, 8))
+        pairs = [(u, v) for u in range(nodes) for v in range(u + 1, nodes)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return hc_to_occupation(Graph(nodes, tuple(edges)))
+    n = draw(st.integers(0, 24))
+    clauses = []
+    for _ in range(draw(st.integers(0, 2 * n + 2)) if n else 0):
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+        negated = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+        literals = tuple(Literal(v, s) for v, s in zip(variables, negated))
+        clauses.append(Clause(literals, draw(st.integers(1, len(variables)))))
+    return Instance(n, tuple(clauses))
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(bin_matrices())
+def test_kernel_annihilates_and_rank_plus_nullity_is_n(mat):
+    kernel = gf2.kernel_basis(mat)
+    assert not np.any(mat.astype(np.int64) @ kernel.T.astype(np.int64) % 2)
+    assert gf2.rank(mat) + kernel.shape[0] == mat.shape[1]
+    assert gf2.rank(kernel) == kernel.shape[0]
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(systems())
+def test_witness_rows_sum_to_zero_equals_one(system):
+    mat, rhs = system
+    witness = gf2.inconsistency_witness(mat, rhs)
+    x = gf2.solve_particular(mat, rhs)
+    if witness is None:
+        assert np.array_equal(gf2.matvec(mat, x), rhs)
+        return
+    assert x is None
+    assert not np.any(np.bitwise_xor.reduce(mat[witness], axis=0))
+    assert np.bitwise_xor.reduce(rhs[witness]) == 1
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(st.data(), affine_spaces())
+def test_standard_forms_span_the_affine_space(data, space):
+    kernel, offset = space
+    points = affine_set(kernel, offset) if kernel.shape[0] else {tuple(offset)}
+    assert standard_set(gf2.standard_form(kernel, offset)) == points
+    selection = data.draw(selections(kernel))
+    sf, error = outcome_or_error(gf2.standard_form, kernel, offset, selection)
+    if error is None:
+        assert list(sf.perm[: kernel.shape[0]]) == list(selection)
+        assert standard_set(sf) == points
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(systems())
+def test_packed_core_matches_dense_reference(system):
+    mat, rhs = system
+    rref, pivots = gf2.row_reduce(mat)
+    want_rref, want_pivots = Dense.row_reduce(mat)
+    assert_same_array(rref, want_rref)
+    assert pivots == want_pivots and all(type(c) is int for c in pivots)
+    assert gf2.rank(mat) == Dense.rank(mat)
+    assert_same_array(gf2.kernel_basis(mat), Dense.kernel_basis(mat))
+    x, want_x = gf2.solve_particular(mat, rhs), Dense.solve_particular(mat, rhs)
+    assert (x is None) == (want_x is None)
+    if x is not None:
+        assert_same_array(x, want_x)
+    assert gf2.inconsistency_witness(mat, rhs) == Dense.inconsistency_witness(mat, rhs)
+    square = mat[:, : mat.shape[0]][: mat.shape[1]]
+    got, error = outcome_or_error(gf2.inverse, square)
+    want, want_error = outcome_or_error(Dense.inverse, square)
+    assert error == want_error
+    if got is not None:
+        assert_same_array(got, want)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(st.data(), affine_spaces())
+def test_standard_form_matches_dense_reference(data, space):
+    kernel, offset = space
+    got, error = outcome_or_error(gf2.standard_form, kernel, offset)
+    want, want_error = outcome_or_error(Dense.standard_form, kernel, offset)
+    assert error == want_error
+    if got is not None:
+        assert_same_standard_form(got, want)
+    selection = data.draw(selections(kernel))
+    got, error = outcome_or_error(gf2.standard_form, kernel, offset, selection)
+    want, want_error = outcome_or_error(Dense.standard_form, kernel, offset, selection)
+    assert error == want_error
+    if got is not None:
+        assert_same_standard_form(got, want)
+
+
+def test_standard_form_rejects_dependent_kernels_like_the_reference():
+    kernel = np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8)
+    for selection in (None, [0, 2], [2, 0]):
+        _, error = outcome_or_error(gf2.standard_form, kernel, np.zeros(3, dtype=np.uint8), selection)
+        _, want = outcome_or_error(Dense.standard_form, kernel, np.zeros(3, dtype=np.uint8), selection)
+        assert error is not None and error == want
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(parity_instances())
+def test_reduce_instance_matches_dense_reference(inst):
+    got = reduce_instance(inst)
+    want = Dense.reduce_instance(inst)
+    if isinstance(want, XorInfeasible):
+        assert got == want and all(type(i) is int for i in got.witness)
+        return
+    kernel, offset, m_prime, standard = want
+    assert_same_array(got.kernel, kernel)
+    assert_same_array(got.offset, offset)
+    assert got.m_prime == m_prime and type(got.m_prime) is int
+    assert_same_standard_form(got.standard, standard)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from xorsat_reduce.hamcycle import (
     random_regular_graph,
     solve_hc,
 )
+from xorsat_reduce import hamcycle
 from xorsat_reduce.instances import brute_force_solutions
-from xorsat_reduce.reduction import build_linear_system
+from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
 
 
 def two_triangles() -> Graph:
@@ -144,6 +146,22 @@ class TestSolveHc:
     def test_cycle_graphs(self, n):
         values = solve_hc(cycle_graph(n))
         assert values is not None and np.all(values == 1)
+
+    def test_given_reduction_is_not_recomputed(self, monkeypatch):
+        graphs = (complete_graph(4), petersen_graph(), two_triangles(), cycle_graph(5))
+        expected = [solve_hc(g) for g in graphs]
+        reductions = [reduce_instance(hc_to_occupation(g)) for g in graphs]
+
+        def refuse(instance):
+            raise AssertionError("solve_hc reduced the instance again")
+
+        monkeypatch.setattr(hamcycle, "reduce_instance", refuse)
+        for g, reduction, want in zip(graphs, reductions, expected):
+            got = solve_hc(g, reduction)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want)
+        assert solve_hc(complete_graph(4), XorInfeasible(witness=(0,))) is None
 
     def test_agreement_with_brute_force(self):
         rng = np.random.default_rng(7)
@@ -264,6 +282,15 @@ e 3 4
 class TestGraphIO:
     def test_parse_k4(self):
         assert parse_graph(K4_TEXT) == complete_graph(4)
+
+    def test_parse_time_is_linear_in_edges(self):
+        n = 100_001
+        text = f"p edge {n} {n - 1}\n" + "".join(f"e {v + 1} {v}\n" for v in range(1, n))
+        start = time.perf_counter()
+        graph = parse_graph(text)
+        elapsed = time.perf_counter() - start
+        assert graph.edges == tuple((v, v + 1) for v in range(n - 1))
+        assert elapsed < 2.0
 
     def test_round_trip(self):
         for g in (complete_graph(4), cycle_graph(6), petersen_graph(), two_triangles()):

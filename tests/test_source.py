@@ -35,3 +35,33 @@ def test_no_recursion_limit_changes():
         if "setrecursionlimit" in line
     ]
     assert found == []
+
+
+def test_cli_reads_input_files_only_through_the_guarded_reader():
+    """Every command reads its input through `_read_input`, which maps read failures to exit 2."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    readers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "read_text"
+    }
+    assert readers == {"_read_input"}
+
+
+def test_no_blas_backed_numpy_calls():
+    """No call wakes OpenBLAS's thread pool, whose workers spin on another core after the call returns.
+
+    The `@` products in the package are on int64 arrays, which numpy
+    computes without BLAS.
+    """
+    blas_backed = {"dot", "vdot", "inner", "tensordot", "linalg"}
+    found = [
+        f"{path.name}:{node.lineno} np.{node.attr}"
+        for path in package_sources()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in blas_backed
+        and isinstance(node.value, ast.Name) and node.value.id == "np"
+    ]
+    assert found == []
