@@ -271,6 +271,17 @@ def cmd_sweep_tree(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count where 0 means "off"."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_record_options(parser):
     """--seed and --json, for the commands that print one record."""
     parser.add_argument("--seed", type=int, default=0)
@@ -315,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtrack", help="backtracking solver with tree statistics")
     p.add_argument("instance")
     p.add_argument("--count", action="store_true", help="exhaust the tree and count solutions")
-    p.add_argument("--perm-trials", type=int, default=0, help="optimize the free block first")
+    p.add_argument("--perm-trials", type=_non_negative_int, default=0,
+                   help="optimize the free block first (0: off)")
     _add_record_options(p)
     p.set_defaults(func=cmd_backtrack)
 
@@ -343,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--neg-prob", type=float, default=0.5)
-        p.add_argument("--perm-trials", type=int, default=trials)
+        p.add_argument("--perm-trials", type=_non_negative_int, default=trials)
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)

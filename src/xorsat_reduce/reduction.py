@@ -45,10 +45,12 @@ class XorInfeasible:
     """Certificate that the parity relaxation (hence the instance) has no solution.
 
     `witness` lists clause indices whose parity rows XOR to zero while
-    their right-hand sides XOR to one.
+    their right-hand sides XOR to one. `m_prime` is the rank of the
+    parity rows, as in `Reduction`.
     """
 
     witness: tuple[int, ...]
+    m_prime: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +102,7 @@ def reduce_instance(instance: Instance):
     system = gf2.eliminate(rows, rhs, instance.n)
     offset = system.particular()
     if offset is None:
-        return XorInfeasible(witness=tuple(system.witness()))
+        return XorInfeasible(witness=tuple(system.witness()), m_prime=system.rank)
     kernel = system.kernel()
     return Reduction(
         kernel=kernel,

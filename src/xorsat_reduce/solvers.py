@@ -182,12 +182,34 @@ def backtrack_count(instance: Instance, reduction) -> tuple[int, TreeStats]:
     return run.solution_count, stats
 
 
+def _clause_masks(instance: Instance) -> list[int]:
+    """masks[v] has bit a set iff variable v occurs in clause a."""
+    masks = [0] * instance.n
+    for a, c in enumerate(instance.clauses):
+        for lit in c.literals:
+            masks[lit.var] |= 1 << a
+    return masks
+
+
+def _coverage(masks: list[int], variables) -> int:
+    """Number of clauses containing at least one of `variables`."""
+    covered = 0
+    for v in variables:
+        covered |= masks[v]
+    return covered.bit_count()
+
+
+def _set_bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def permutation_score(instance: Instance, reduction: Reduction) -> int:
     """Number of clauses containing at least one free-block variable."""
-    free_vars = set(int(v) for v in reduction.standard.perm[: reduction.free_count])
-    return sum(
-        1 for c in instance.clauses if any(lit.var in free_vars for lit in c.literals)
-    )
+    return _coverage(_clause_masks(instance), reduction.standard.perm[: reduction.free_count])
 
 
 def optimize_permutation(
@@ -207,6 +229,10 @@ def optimize_permutation(
     are what lets the backtracker cut branches. The returned reduction
     never scores below the input and spans the same solution set;
     deterministic per seed.
+
+    Every block is held as the packed kernel rows reduced on it (row i
+    has bit sel[i] and no other selected bit), so a swap is one pivot
+    and the only standard form built is the returned one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -214,25 +240,31 @@ def optimize_permutation(
     if k == 0 or k == n:
         return reduction
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    incidence = np.zeros((instance.m, n), dtype=np.int64)
-    for a, c in enumerate(instance.clauses):
-        for lit in c.literals:
-            incidence[a, lit.var] = 1
-
+    masks = _clause_masks(instance)
+    kernel_rows = gf2._pack(reduction.kernel)
     input_sel = [int(v) for v in reduction.standard.perm[:k]]
-    candidates = {tuple(sorted(input_sel)): _selection_score(incidence, input_sel)}
+    input_rows = list(kernel_rows)
+    gf2._gauss_jordan(input_rows, input_sel)
+
+    # sorted block -> (score, {selected column: its reduced row})
+    candidates = {
+        tuple(sorted(input_sel)): (_coverage(masks, input_sel), dict(zip(input_sel, input_rows)))
+    }
     for trial in range(trials):
-        sel = list(input_sel) if trial == 0 else _random_selection(reduction.kernel, rng)
-        sel, score = _climb(reduction, incidence, sel)
-        candidates.setdefault(tuple(sorted(sel)), score)
-    best_score = max(candidates.values())
-    finalists = sorted(sel for sel, score in candidates.items() if score == best_score)
-    scored = []
-    for sel in finalists:
-        sf = gf2.standard_form(reduction.kernel, reduction.offset, selection=sel)
-        scored.append((_readiness_penalty(sf), sel))
-    _, chosen = min(scored)
-    order = _readiness_order(reduction.kernel, reduction.offset, chosen)
+        if trial == 0:
+            sel, rows = list(input_sel), list(input_rows)
+        else:
+            # A random column order; its pivots are a uniform-ish random full-rank block.
+            rows = list(kernel_rows)
+            sel = gf2._gauss_jordan(rows, rng.permutation(n).tolist())
+        score = _climb(masks, sel, rows)
+        key = tuple(sorted(sel))
+        if key not in candidates:
+            candidates[key] = (score, dict(zip(sel, rows)))
+    best_score = max(score for score, _ in candidates.values())
+    finalists = sorted(key for key, (score, _) in candidates.items() if score == best_score)
+    chosen = min(finalists, key=lambda sel: _readiness_penalty(sel, candidates[sel][1]))
+    order = _readiness_order(chosen, candidates[chosen][1])
     if order == input_sel:
         return reduction
     return reduction.with_standard(
@@ -240,81 +272,97 @@ def optimize_permutation(
     )
 
 
-def _readiness_penalty(sf: gf2.StandardForm) -> int:
-    """Sum over dependent rows of the depth at which each becomes determined."""
+def _readiness_penalty(sel, rows) -> int:
+    """Sum over dependent coordinates of the depth at which each becomes determined.
+
+    The free block is taken in the order `sel`; rows maps each selected
+    column to its reduced row, whose other bits are the dependents it feeds.
+    Scanning from the deepest free variable back, each dependent counts
+    at the first row that holds it.
+    """
+    seen = sum(1 << v for v in sel)
     total = 0
-    for row in sf.h:
-        hits = np.nonzero(row)[0]
-        total += int(hits.max()) + 1 if hits.size else 0
+    for depth in range(len(sel), 0, -1):
+        row = rows[sel[depth - 1]]
+        total += depth * (row & ~seen).bit_count()
+        seen |= row
     return total
 
 
-def _readiness_order(kernel, offset, selection) -> list[int]:
+def _readiness_order(sel, rows) -> list[int]:
     """Order the free block so dependency rows complete as early as possible.
 
     Greedy: repeatedly append the variable that completes the most
     still-open dependent rows, then the one leaving the least remaining
-    support, then the smallest index (deterministic).
+    support, then the smallest index (deterministic). A dependent's
+    support is the set of selected variables whose reduced rows hold it,
+    kept as a bitmask over variables.
     """
-    sf = gf2.standard_form(kernel, offset, selection=selection)
-    variables = list(selection)
-    supports = [
-        {variables[c] for c in np.nonzero(row)[0]} for row in sf.h if np.any(row)
-    ]
+    selected = sum(1 << v for v in sel)
+    support_of: dict[int, int] = {}
+    for v in sel:
+        for d in _set_bits(rows[v] & ~selected):
+            support_of[d] = support_of.get(d, 0) | 1 << v
+    supports = list(support_of.values())
     chosen: list[int] = []
-    remaining = set(variables)
+    placed = 0
+    remaining = sorted(sel)
     while remaining:
         best = None
         best_key = None
-        placed = set(chosen)
-        for v in sorted(remaining):
-            trial = placed | {v}
-            completed = sum(1 for s in supports if v in s and s <= trial)
-            leftover = sum(len(s - trial) for s in supports if not s <= placed)
+        for v in remaining:
+            trial = placed | 1 << v
+            completed = sum(1 for s in supports if s >> v & 1 and not s & ~trial)
+            leftover = sum((s & ~trial).bit_count() for s in supports)
             key = (-completed, leftover, v)
             if best_key is None or key < best_key:
                 best, best_key = v, key
         chosen.append(best)
-        remaining.discard(best)
+        placed |= 1 << best
+        remaining.remove(best)
     return chosen
 
 
-def _selection_score(incidence, sel) -> int:
-    return int((incidence[:, sel].sum(axis=1) > 0).sum())
+def _climb(masks: list[int], sel: list[int], rows: list[int]) -> int:
+    """Best-improvement swaps until no valid swap raises the score; returns the score.
 
-
-def _random_selection(kernel, rng) -> list[int]:
-    """A uniform-ish random set of k columns on which the kernel has full rank."""
-    order = rng.permutation(kernel.shape[1])
-    _, pivots = gf2.row_reduce(kernel[:, order])
-    return [int(order[c]) for c in pivots]
-
-
-def _climb(reduction, incidence, sel):
-    """Best-improvement swaps until no valid swap raises the score."""
+    `rows` are the kernel rows reduced on `sel` (row i has bit sel[i] and
+    no other selected bit); both lists are updated in place. Swapping
+    sel[c] for a dependent d keeps the block full-rank iff rows[c] has
+    bit d, and it scores the clauses covered by the other free variables
+    or by d. Swaps are tried by free position, then by ascending d, and
+    the first best one is taken: one pivot on (c, d), after which the
+    block is sel without sel[c], then d.
+    """
+    k = len(sel)
+    selected = sum(1 << v for v in sel)
     while True:
-        sf = gf2.standard_form(reduction.kernel, reduction.offset, selection=sel)
-        k = sf.free_count
-        free = [int(v) for v in sf.perm[:k]]
-        dependent = [int(v) for v in sf.perm[k:]]
-        score = _selection_score(incidence, free)
-        if not dependent:
-            return free, score
-        counts = incidence[:, free].sum(axis=1)
-        # counts[a] - in(a, out_var) + in(a, in_var), for every swap pair
-        swapped = (
-            counts[:, None, None]
-            - incidence[:, free][:, :, None]
-            + incidence[:, dependent][:, None, :]
-        )
-        scores = (swapped > 0).sum(axis=0)
-        valid = sf.h.T.astype(bool)  # (k, n-k): swap keeps the block full-rank
-        scores = np.where(valid, scores, -1)
-        best = int(scores.max())
-        if best <= score:
-            return free, score
-        c, j = np.unravel_index(int(scores.argmax()), scores.shape)
-        sel = [v for v in free if v != free[c]] + [dependent[j]]
+        prefix = [0] * (k + 1)  # prefix[c]: clauses covered by sel[:c]
+        suffix = [0] * (k + 1)  # suffix[c]: clauses covered by sel[c:]
+        for i in range(k):
+            prefix[i + 1] = prefix[i] | masks[sel[i]]
+            suffix[k - 1 - i] = suffix[k - i] | masks[sel[k - 1 - i]]
+        score = best = prefix[k].bit_count()
+        choice = None
+        for c in range(k):
+            others = prefix[c] | suffix[c + 1]
+            dependents = rows[c] & ~selected
+            while dependents:
+                low = dependents & -dependents
+                d = low.bit_length() - 1
+                s = (others | masks[d]).bit_count()
+                if s > best:
+                    best, choice = s, (c, d)
+                dependents ^= low
+        if choice is None:
+            return score
+        c, d = choice
+        pivot = rows.pop(c)
+        bit = 1 << d
+        rows[:] = [row ^ pivot if row & bit else row for row in rows]
+        rows.append(pivot)
+        selected ^= 1 << sel.pop(c) | bit
+        sel.append(d)
 
 
 def gamma_estimate(tree_sizes, n: int) -> float:

@@ -8,7 +8,6 @@ by (n, sample) before they are written anywhere.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,8 @@ class SweepConfig:
             raise ValueError("alpha must be positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.perm_trials < 0:
+            raise ValueError("perm_trials must be >= 0 (0 skips the optimization)")
         if self.problem not in PROBLEM_ARITIES and self.problem != "custom":
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and (self.p is None or self.q is None):
@@ -97,14 +98,11 @@ def _tree_sample(task) -> dict:
     except GenerationError as err:
         return dict(base, kind="failure", error=str(err))
     outcome = reduce_instance(inst)
+    m_prime = outcome.m_prime
+    k = n - m_prime
+    stats = dict(base, m=inst.m, m_prime=m_prime, k=k, delta_k=inst.m - m_prime)
     if isinstance(outcome, XorInfeasible):
-        m_prime = gf2.rank(build_linear_system(inst).matrix)
-        return dict(base, m=inst.m, m_prime=m_prime, k=n - m_prime,
-                    delta_k=inst.m - m_prime, solutions=0, tree_nodes=0,
-                    tree_nodes_unoptimized=0)
-    k = outcome.free_count
-    stats = dict(base, m=inst.m, m_prime=outcome.m_prime, k=k,
-                 delta_k=inst.m - outcome.m_prime)
+        return dict(stats, solutions=0, tree_nodes=0, tree_nodes_unoptimized=0)
     if k > SWEEP_MAX_FREE:
         return dict(stats, kind="guard_skip")
     count, raw_tree = backtrack_count(inst, outcome)
@@ -125,6 +123,10 @@ def _tree_sample(task) -> dict:
 def _run(config: SweepConfig, worker) -> list[dict]:
     tasks = [(config, n, s) for n in config.n_list for s in range(config.samples)]
     if config.threads > 1:
+        # Imported here: the process pool pulls in multiprocessing, which
+        # single-threaded runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             rows = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (8 * config.threads))))
     else:

@@ -158,6 +158,13 @@ class TestBacktrack:
                           "--perm-trials", "10", "--json")
         assert record["count"] == 2
 
+    @pytest.mark.parametrize("value", ["-1", "-5", "x"])
+    def test_perm_trials_must_be_a_non_negative_int(self, capsys, chain_file, value):
+        with pytest.raises(SystemExit) as err:
+            main(["backtrack", chain_file, "--perm-trials", value])
+        assert err.value.code == 2
+        assert "--perm-trials" in capsys.readouterr().err
+
 
 class TestGrover:
     def test_chain_sat(self, capsys, chain_file):
@@ -259,6 +266,15 @@ class TestSweeps:
         run(capsys, *args, "--threads", "2", "--out", str(c))
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
+    @pytest.mark.parametrize("command", ["sweep-tree", "sweep-kernel"])
+    def test_negative_perm_trials_is_a_usage_error(self, capsys, tmp_path, command):
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n-list", "10", "--alpha", "0.8", "--samples", "1",
+                  "--perm-trials", "-3", "--out", str(out)])
+        assert err.value.code == 2 and not out.exists()
+        assert "must be >= 0" in capsys.readouterr().err
+
     def test_tree_csv_has_gamma_summary(self, capsys, tmp_path):
         out = tmp_path / "tree.csv"
         run(capsys, "sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "6",
@@ -295,6 +311,15 @@ def test_json_is_only_a_record_option(capsys, argv):
     with pytest.raises(SystemExit) as err:
         main([*argv, "--json"])
     assert err.value.code == 2
+
+
+def test_single_threaded_commands_never_import_the_process_pool():
+    code = ("import sys, xorsat_reduce.sweeps, xorsat_reduce.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():

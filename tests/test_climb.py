@@ -1,0 +1,204 @@
+"""The permutation climb against a copy of the numpy climb it replaced.
+
+`optimize_permutation` holds each free block as packed kernel rows reduced
+on it and swaps by one pivot; the reference below rebuilds a standard form
+at every step and scores swaps on a dense clause-incidence array. Both must
+make the same choices: the same returned standard form, the same object
+when the order does not change, and the same draws from the caller's
+generator.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from xorsat_reduce import gf2
+from xorsat_reduce.errors import GenerationError
+from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
+from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
+from xorsat_reduce.solvers import optimize_permutation
+
+SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+class Reference:
+    """The dense climb: a standard form per step, swaps scored on an (M, k, n-k) array."""
+
+    @staticmethod
+    def optimize_permutation(instance, reduction, trials, rng):
+        k, n = reduction.kernel.shape
+        if k == 0 or k == n:
+            return reduction
+        incidence = np.zeros((instance.m, n), dtype=np.int64)
+        for a, c in enumerate(instance.clauses):
+            for lit in c.literals:
+                incidence[a, lit.var] = 1
+        input_sel = [int(v) for v in reduction.standard.perm[:k]]
+        candidates = {tuple(sorted(input_sel)): Reference.selection_score(incidence, input_sel)}
+        for trial in range(trials):
+            sel = list(input_sel) if trial == 0 else Reference.random_selection(reduction.kernel, rng)
+            sel, score = Reference.climb(reduction, incidence, sel)
+            candidates.setdefault(tuple(sorted(sel)), score)
+        best_score = max(candidates.values())
+        finalists = sorted(sel for sel, score in candidates.items() if score == best_score)
+        scored = []
+        for sel in finalists:
+            sf = gf2.standard_form(reduction.kernel, reduction.offset, selection=sel)
+            scored.append((Reference.readiness_penalty(sf), sel))
+        _, chosen = min(scored)
+        order = Reference.readiness_order(reduction.kernel, reduction.offset, chosen)
+        if order == input_sel:
+            return reduction
+        return reduction.with_standard(
+            gf2.standard_form(reduction.kernel, reduction.offset, selection=order)
+        )
+
+    @staticmethod
+    def readiness_penalty(sf):
+        total = 0
+        for row in sf.h:
+            hits = np.nonzero(row)[0]
+            total += int(hits.max()) + 1 if hits.size else 0
+        return total
+
+    @staticmethod
+    def readiness_order(kernel, offset, selection):
+        sf = gf2.standard_form(kernel, offset, selection=selection)
+        variables = list(selection)
+        supports = [{variables[c] for c in np.nonzero(row)[0]} for row in sf.h if np.any(row)]
+        chosen = []
+        remaining = set(variables)
+        while remaining:
+            best = None
+            best_key = None
+            placed = set(chosen)
+            for v in sorted(remaining):
+                trial = placed | {v}
+                completed = sum(1 for s in supports if v in s and s <= trial)
+                leftover = sum(len(s - trial) for s in supports if not s <= placed)
+                key = (-completed, leftover, v)
+                if best_key is None or key < best_key:
+                    best, best_key = v, key
+            chosen.append(best)
+            remaining.discard(best)
+        return chosen
+
+    @staticmethod
+    def selection_score(incidence, sel):
+        return int((incidence[:, sel].sum(axis=1) > 0).sum())
+
+    @staticmethod
+    def random_selection(kernel, rng):
+        order = rng.permutation(kernel.shape[1])
+        _, pivots = gf2.row_reduce(kernel[:, order])
+        return [int(order[c]) for c in pivots]
+
+    @staticmethod
+    def climb(reduction, incidence, sel):
+        while True:
+            sf = gf2.standard_form(reduction.kernel, reduction.offset, selection=sel)
+            k = sf.free_count
+            free = [int(v) for v in sf.perm[:k]]
+            dependent = [int(v) for v in sf.perm[k:]]
+            score = Reference.selection_score(incidence, free)
+            if not dependent:
+                return free, score
+            counts = incidence[:, free].sum(axis=1)
+            swapped = (
+                counts[:, None, None]
+                - incidence[:, free][:, :, None]
+                + incidence[:, dependent][:, None, :]
+            )
+            scores = (swapped > 0).sum(axis=0)
+            scores = np.where(sf.h.T.astype(bool), scores, -1)
+            if int(scores.max()) <= score:
+                return free, score
+            c, j = np.unravel_index(int(scores.argmax()), scores.shape)
+            sel = [v for v in free if v != free[c]] + [dependent[j]]
+
+
+def assert_same_climb(instance, reduction, trials, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = optimize_permutation(instance, reduction, trials=trials, seed=got_rng)
+    want = Reference.optimize_permutation(instance, reduction, trials, want_rng)
+    assert (got is reduction) == (want is reduction)
+    for name in ("perm", "h", "offset"):
+        a, b = getattr(got.standard, name), getattr(want.standard, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def kernel_reductions(draw):
+    """An instance and a full-rank k x n kernel, 1 <= k < n <= 30, with any clauses (M may be 0).
+
+    The climb reads only the kernel, the input free block and which
+    variables each clause holds, so the clauses need not fit the kernel.
+    """
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, n - 1))
+    kernel = np.array([[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(k)], dtype=np.uint8)
+    assume(gf2.rank(kernel) == k)
+    offset = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    standard = gf2.standard_form(kernel, offset)
+    if draw(st.booleans()):
+        order = draw(st.permutations([int(v) for v in standard.perm[:k]]))
+        standard = gf2.standard_form(kernel, offset, selection=order)
+    clauses = []
+    for _ in range(draw(st.integers(0, 40))):
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+        clauses.append(Clause(tuple(Literal(v, False) for v in variables), 1))
+    reduction = Reduction(kernel=kernel, offset=offset, m_prime=n - k, standard=standard)
+    return Instance(n, tuple(clauses)), reduction
+
+
+@settings(max_examples=250, **SETTINGS)
+@given(kernel_reductions(), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_climb_matches_the_dense_reference_on_random_kernels(case, trials, seed):
+    instance, reduction = case
+    assert_same_climb(instance, reduction, trials, seed)
+
+
+@settings(max_examples=300, **SETTINGS)
+@given(st.sampled_from([(3, 1, 0.789), (4, 2, 0.707), (3, 1, 0.6)]), st.integers(6, 30),
+       st.integers(0, 2**32 - 1), st.integers(1, 20))
+def test_climb_matches_the_dense_reference_on_locked_instances(problem, n, seed, trials):
+    p, q, alpha = problem
+    try:
+        instance = gen_locked_random(n, int(alpha * n), p, q, seed=seed)
+    except GenerationError:
+        assume(False)
+    reduction = reduce_instance(instance)
+    assume(not isinstance(reduction, XorInfeasible))
+    assert_same_climb(instance, reduction, trials, seed)
+
+
+def test_at_most_one_standard_form_per_call(monkeypatch):
+    calls = []
+    real = gf2.standard_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    rng = np.random.default_rng(17)
+    cases = []
+    while len(cases) < 12:
+        n = int(rng.integers(15, 25))
+        try:
+            instance = gen_locked_random(n, int(0.75 * n), 3, 1, seed=int(rng.integers(1 << 30)))
+        except GenerationError:
+            continue
+        reduction = reduce_instance(instance)
+        if not isinstance(reduction, XorInfeasible) and 0 < reduction.free_count < n:
+            cases.append((instance, reduction))
+    monkeypatch.setattr(gf2, "standard_form", counted)
+    changed = 0
+    for instance, reduction in cases:
+        calls.clear()
+        result = optimize_permutation(instance, reduction, trials=50, seed=3)
+        assert len(calls) == (result is not reduction)
+        changed += result is not reduction
+    assert changed > 0

@@ -403,7 +403,8 @@ class Dense:
         system = build_linear_system(instance)
         offset = Dense.solve_particular(system.matrix, system.rhs)
         if offset is None:
-            return XorInfeasible(tuple(Dense.inconsistency_witness(system.matrix, system.rhs)))
+            return XorInfeasible(tuple(Dense.inconsistency_witness(system.matrix, system.rhs)),
+                                 Dense.rank(system.matrix))
         kernel = Dense.kernel_basis(system.matrix)
         return kernel, offset, instance.n - kernel.shape[0], Dense.standard_form(kernel, offset)
 
@@ -587,6 +588,7 @@ def test_reduce_instance_matches_dense_reference(inst):
     want = Dense.reduce_instance(inst)
     if isinstance(want, XorInfeasible):
         assert got == want and all(type(i) is int for i in got.witness)
+        assert type(got.m_prime) is int
         return
     kernel, offset, m_prime, standard = want
     assert_same_array(got.kernel, kernel)

@@ -161,7 +161,7 @@ class TestSolveHc:
             assert (got is None) == (want is None)
             if want is not None:
                 assert np.array_equal(got, want)
-        assert solve_hc(complete_graph(4), XorInfeasible(witness=(0,))) is None
+        assert solve_hc(complete_graph(4), XorInfeasible(witness=(0,), m_prime=3)) is None
 
     def test_agreement_with_brute_force(self):
         rng = np.random.default_rng(7)

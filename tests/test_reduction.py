@@ -97,6 +97,8 @@ class TestReduce:
             rows = system.matrix[list(outcome.witness)]
             assert not np.any(np.bitwise_xor.reduce(rows, axis=0))
             assert np.bitwise_xor.reduce(system.rhs[list(outcome.witness)]) == 1
+            assert outcome.m_prime == gf2.rank(system.matrix)
+            assert type(outcome.m_prime) is int
         assert seen > 5
 
     def test_unconstrained(self):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from xorsat_reduce import sweeps
+from xorsat_reduce import gf2, sweeps
+from xorsat_reduce.instances import gen_locked_random
+from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
 from xorsat_reduce.sweeps import SweepConfig
 
 
@@ -22,3 +25,42 @@ def test_tree_sample_rejects_a_count_mismatch(monkeypatch):
     with pytest.raises(RuntimeError, match="solution count"):
         sweeps.tree_sweep(config)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("trials", [-1, -3])
+def test_negative_perm_trials_rejected(trials):
+    with pytest.raises(ValueError, match="perm_trials"):
+        SweepConfig("occ1in3", (12,), 0.8, samples=1, perm_trials=trials)
+
+
+def test_zero_perm_trials_skips_the_optimization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("optimize_permutation ran with perm_trials=0")
+
+    monkeypatch.setattr(sweeps, "optimize_permutation", refuse)
+    rows, _ = sweeps.tree_sweep(SweepConfig("occ1in3", (12,), 0.8, samples=3, perm_trials=0))
+    assert all(r["tree_nodes"] == r["tree_nodes_unoptimized"] for r in rows)
+
+
+def _sample_instance(config: SweepConfig, n: int, sample: int):
+    p, q = config.arity
+    _, gen_ss, _ = sweeps._sample_seeds(config.seed, n, sample)
+    return gen_locked_random(n, config.clause_count(n), p, q, config.negation_prob,
+                             seed=np.random.Generator(np.random.PCG64(gen_ss)))
+
+
+def test_xor_infeasible_rows_report_the_rank_of_the_parity_rows():
+    config = SweepConfig("occ1in3", (12, 16), 1.0, samples=6, seed=5, perm_trials=3)
+    rows, _ = sweeps.tree_sweep(config)
+    infeasible = 0
+    for row in rows:
+        inst = _sample_instance(config, row["n"], row["sample"])
+        if not isinstance(reduce_instance(inst), XorInfeasible):
+            continue
+        infeasible += 1
+        m_prime = gf2.rank(build_linear_system(inst).matrix)
+        assert (row["m_prime"], row["k"], row["delta_k"]) == (m_prime, row["n"] - m_prime,
+                                                               inst.m - m_prime)
+        assert row["solutions"] == row["tree_nodes"] == row["tree_nodes_unoptimized"] == 0
+    assert infeasible >= 3
+
