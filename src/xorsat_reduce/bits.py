@@ -5,17 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def index_to_bits(index: int, width: int) -> np.ndarray:
-    """Bit vector of `index`, most significant bit first."""
-    if index < 0 or index >> width:
-        raise ValueError(f"index {index} out of range for width {width}")
-    return np.array([(index >> (width - 1 - j)) & 1 for j in range(width)], dtype=np.uint8)
-
-
 def bit_block(start: int, stop: int, width: int) -> np.ndarray:
     """Rows start..stop-1 of the lexicographic enumeration of width-bit vectors.
 
-    Returns a (stop - start, width) uint8 array; row i is index_to_bits(start + i).
+    Returns a (stop - start, width) uint8 array; row i holds the bits of
+    start + i, most significant first.
     """
     idx = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(width - 1, -1, -1, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Command-line front end: instance/graph I/O, solver dispatch, ensemble sweeps.
 
-Exit codes: 0 success (including certified UNSAT), 2 parse error or
-unreadable input file, 3 guard exceeded, 4 generation failure.
+Exit codes: 0 success (including certified UNSAT), 2 usage error (an
+invalid argument), parse error or unreadable input file, 3 guard
+exceeded, 4 generation failure.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from . import __version__
 from .errors import GenerationError, GuardExceeded, ParseError
 from .grover import OracleSpec, grover_search_unknown, oracle_resources, query_cost_count, query_cost_decision
 from .hamcycle import hc_to_occupation, parse_graph, solve_hc
-from .instances import emit_instance, gen_locked_random, parse_instance
+from .instances import check_generator_parameters, emit_instance, gen_locked_random, parse_instance
 from .reduction import XorInfeasible, reduce_instance
-from .solvers import backtrack_count, backtrack_solve, count_enumerate, optimize_permutation, solve_enumerate
+from .solvers import (
+    SolveOutcome, backtrack_count, backtrack_solve, count_enumerate, optimize_permutation, solve_enumerate,
+)
 from .sweeps import SweepConfig, kernel_sweep, tree_sweep
 
 CSV_SCHEMA_COMMENT = f"# xorsat-reduce v{__version__} schema=1"
@@ -38,18 +41,23 @@ TREE_CSV_FIELDS = [
 ]
 
 
-class _UnreadableInput(Exception):
-    """An input file that is missing, not a regular file, or not UTF-8 text."""
+XOR_CERTIFIED = "UNSAT (XOR-certified)"
+# The search record of an XOR-certified instance: no candidate is ever queried.
+_NO_SEARCH = SolveOutcome(False, None, 0)
+
+
+class _BadInput(Exception):
+    """An input file that cannot be read as UTF-8 text, or an argument the library rejects."""
 
 
 def _read_input(path: str) -> str:
-    """The text of an input file; any failure to read it becomes _UnreadableInput."""
+    """The text of an input file; any failure to read it becomes _BadInput."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise _UnreadableInput(f"cannot read {path}: {err.strerror or err}") from None
+        raise _BadInput(f"cannot read {path}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
-        raise _UnreadableInput(f"cannot read {path}: {err}") from None
+        raise _BadInput(f"cannot read {path}: {err}") from None
 
 
 def _write_text(args, text: str):
@@ -77,18 +85,39 @@ def _emit_record(args, record: dict):
             print(f"{key}: {value}")
 
 
-def _reduction_fields(instance, outcome) -> dict:
+def _load(args):
+    """The instance named on the command line and its reduce_instance outcome."""
+    instance = parse_instance(_read_input(args.instance))
+    return instance, reduce_instance(instance)
+
+
+def _context(instance, outcome, sizes=None) -> dict:
+    """n and m (or the given sizes), then the 1-based XOR witness or k, m_prime and delta_k."""
+    record = dict(sizes or {"n": instance.n, "m": instance.m})
     if isinstance(outcome, XorInfeasible):
-        return {"witness": [i + 1 for i in outcome.witness]}
-    return {
-        "k": outcome.free_count,
-        "m_prime": outcome.m_prime,
-        "delta_k": instance.m - outcome.m_prime,
-    }
+        record["witness"] = [i + 1 for i in outcome.witness]
+    else:
+        record.update(k=outcome.free_count, m_prime=outcome.m_prime, delta_k=instance.m - outcome.m_prime)
+    return record
+
+
+def _search_record(instance, outcome, result, unsat: str = "UNSAT", **fields) -> dict:
+    """status, queries, `fields`, the context, then the assignment when one was found."""
+    if isinstance(outcome, XorInfeasible):
+        unsat = XOR_CERTIFIED
+    record = {"status": "SAT" if result.satisfiable else unsat, "queries": result.queries,
+              **fields, **_context(instance, outcome)}
+    if result.satisfiable:
+        record["assignment"] = [int(b) for b in result.assignment]
+    return record
 
 
 def cmd_gen(args) -> int:
     m = args.m if args.m is not None else int(math.floor(args.alpha * args.n))
+    try:
+        check_generator_parameters(args.n, m, args.p, args.q, args.neg_prob)
+    except ValueError as err:
+        raise _BadInput(str(err)) from None
     instance = gen_locked_random(
         args.n, m, args.p, args.q, negation_prob=args.neg_prob, seed=args.seed
     )
@@ -97,102 +126,56 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    instance = parse_instance(_read_input(args.instance))
-    outcome = reduce_instance(instance)
-    if isinstance(outcome, XorInfeasible):
-        record = {"status": "UNSAT (XOR-certified)", "queries": 0, "n": instance.n,
-                  "m": instance.m, **_reduction_fields(instance, outcome)}
-        _emit_record(args, record)
-        return 0
-    result = solve_enumerate(instance, outcome)
-    record = {
-        "status": "SAT" if result.satisfiable else "UNSAT",
-        "queries": result.queries,
-        "n": instance.n,
-        "m": instance.m,
-        **_reduction_fields(instance, outcome),
-    }
-    if result.satisfiable:
-        record["assignment"] = [int(b) for b in result.assignment]
-    _emit_record(args, record)
+    instance, outcome = _load(args)
+    _emit_record(args, _search_record(instance, outcome, solve_enumerate(instance, outcome)))
     return 0
 
 
 def cmd_count(args) -> int:
-    instance = parse_instance(_read_input(args.instance))
-    outcome = reduce_instance(instance)
+    instance, outcome = _load(args)
     count = count_enumerate(instance, outcome)
-    record = {"status": f"COUNT={count}", "count": count, "n": instance.n, "m": instance.m,
-              **_reduction_fields(instance, outcome)}
-    _emit_record(args, record)
+    _emit_record(args, {"status": f"COUNT={count}", "count": count, **_context(instance, outcome)})
     return 0
 
 
+def _tree_fields(stats) -> dict:
+    return {"tree_nodes": stats.total_nodes, "nodes_per_depth": list(stats.nodes_per_depth)}
+
+
 def cmd_backtrack(args) -> int:
-    instance = parse_instance(_read_input(args.instance))
-    outcome = reduce_instance(instance)
-    if not isinstance(outcome, XorInfeasible) and args.perm_trials > 0:
-        outcome = optimize_permutation(instance, outcome, trials=args.perm_trials, seed=args.seed)
-    record = {"n": instance.n, "m": instance.m, **_reduction_fields(instance, outcome)}
+    instance, outcome = _load(args)
     if isinstance(outcome, XorInfeasible):
-        record = {"status": "UNSAT (XOR-certified)", "queries": 0, "tree_nodes": 0, **record}
-        _emit_record(args, record)
-        return 0
-    if args.count:
-        count, stats = backtrack_count(instance, outcome)
-        record = {
-            "status": f"COUNT={count}",
-            "count": count,
-            "tree_nodes": stats.total_nodes,
-            "nodes_per_depth": list(stats.nodes_per_depth),
-            **record,
-        }
+        # No tree is built, so --count reports the empty search too.
+        record = _search_record(instance, outcome, _NO_SEARCH, tree_nodes=0)
     else:
-        result, stats = backtrack_solve(instance, outcome)
-        record = {
-            "status": "SAT" if result.satisfiable else "UNSAT",
-            "queries": result.queries,
-            "tree_nodes": stats.total_nodes,
-            "nodes_per_depth": list(stats.nodes_per_depth),
-            **record,
-        }
-        if result.satisfiable:
-            record["assignment"] = [int(b) for b in result.assignment]
+        if args.perm_trials > 0:
+            outcome = optimize_permutation(instance, outcome, trials=args.perm_trials, seed=args.seed)
+        if args.count:
+            count, stats = backtrack_count(instance, outcome)
+            record = {"status": f"COUNT={count}", "count": count, **_tree_fields(stats),
+                      **_context(instance, outcome)}
+        else:
+            result, stats = backtrack_solve(instance, outcome)
+            record = _search_record(instance, outcome, result, **_tree_fields(stats))
     _emit_record(args, record)
     return 0
 
 
 def cmd_grover(args) -> int:
-    instance = parse_instance(_read_input(args.instance))
-    outcome = reduce_instance(instance)
+    instance, outcome = _load(args)
     if isinstance(outcome, XorInfeasible):
-        record = {"status": "UNSAT (XOR-certified)", "queries": 0, "seed": args.seed,
-                  "n": instance.n, "m": instance.m, **_reduction_fields(instance, outcome)}
-        _emit_record(args, record)
-        return 0
-    spec = OracleSpec(reduction=outcome, instance=instance)
-    result = grover_search_unknown(spec, rng=args.seed)
-    record = {
-        "status": "SAT" if result.satisfiable else "UNSAT (search-certified)",
-        "queries": result.queries,
-        "seed": args.seed,
-        "n": instance.n,
-        "m": instance.m,
-        **_reduction_fields(instance, outcome),
-    }
-    if result.satisfiable:
-        record["assignment"] = [int(b) for b in result.assignment]
-    _emit_record(args, record)
+        result = _NO_SEARCH
+    else:
+        result = grover_search_unknown(OracleSpec(reduction=outcome, instance=instance), rng=args.seed)
+    _emit_record(args, _search_record(instance, outcome, result, "UNSAT (search-certified)", seed=args.seed))
     return 0
 
 
 def cmd_grover_cost(args) -> int:
-    instance = parse_instance(_read_input(args.instance))
-    outcome = reduce_instance(instance)
-    record = {"n": instance.n, "m": instance.m, **_reduction_fields(instance, outcome)}
+    instance, outcome = _load(args)
+    record = _context(instance, outcome)
     if isinstance(outcome, XorInfeasible):
-        record = {"status": "UNSAT (XOR-certified)", **record}
-        _emit_record(args, record)
+        _emit_record(args, {"status": XOR_CERTIFIED, **record})
         return 0
     report = oracle_resources(OracleSpec(reduction=outcome, instance=instance))
     record["query_cost_decision"] = query_cost_decision(instance.n, outcome.m_prime)
@@ -219,15 +202,14 @@ def cmd_hc(args) -> int:
     graph = parse_graph(_read_input(args.graph))
     instance = hc_to_occupation(graph)
     outcome = reduce_instance(instance)
-    record = {"n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
-              **_reduction_fields(instance, outcome)}
     values = solve_hc(graph, outcome)
     if values is None:
-        record = {"status": "NO-HC", **record}
+        record = {"status": "NO-HC"}
     else:
-        edges = [(u + 1, v + 1) for e, (u, v) in enumerate(graph.edges) if values[e]]
-        record = {"status": "HC-FOUND", "edges": edges, **record}
-    _emit_record(args, record)
+        record = {"status": "HC-FOUND",
+                  "edges": [(u + 1, v + 1) for e, (u, v) in enumerate(graph.edges) if values[e]]}
+    sizes = {"n_nodes": graph.n_nodes, "n_edges": graph.n_edges}
+    _emit_record(args, {**record, **_context(instance, outcome, sizes)})
     return 0
 
 
@@ -244,19 +226,21 @@ def _rows_to_csv(fields, rows, summaries) -> str:
 
 
 def _sweep_config(args) -> SweepConfig:
-    n_list = tuple(int(tok) for tok in args.n_list.split(","))
-    return SweepConfig(
-        problem=args.problem,
-        n_list=n_list,
-        alpha=args.alpha,
-        samples=args.samples,
-        seed=args.seed,
-        negation_prob=args.neg_prob,
-        perm_trials=args.perm_trials,
-        p=args.p,
-        q=args.q,
-        threads=args.threads,
-    )
+    try:
+        return SweepConfig(
+            problem=args.problem,
+            n_list=args.n_list,
+            alpha=args.alpha,
+            samples=args.samples,
+            seed=args.seed,
+            negation_prob=args.neg_prob,
+            perm_trials=args.perm_trials,
+            p=args.p,
+            q=args.q,
+            threads=args.threads,
+        )
+    except ValueError as err:
+        raise _BadInput(str(err)) from None
 
 
 def cmd_sweep_kernel(args) -> int:
@@ -280,6 +264,14 @@ def _non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for a comma-separated list of ints."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
 
 
 def _add_record_options(parser):
@@ -351,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, trials in (("sweep-kernel", cmd_sweep_kernel, 0), ("sweep-tree", cmd_sweep_tree, 100)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} ensemble sweep (CSV)")
         p.add_argument("--problem", choices=["occ1in3", "occ2in4", "custom"], default="occ1in3")
-        p.add_argument("--n-list", required=True, help="comma-separated variable counts")
+        p.add_argument("--n-list", type=_int_list, required=True, help="comma-separated variable counts")
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--neg-prob", type=float, default=0.5)
@@ -369,7 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, _UnreadableInput) as err:
+    except (ParseError, _BadInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except GuardExceeded as err:

@@ -16,10 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import index_to_bits
 from .errors import GuardExceeded
 from .instances import Instance
-from .reduction import Reduction, expand, scan
+from .reduction import Reduction, expand_index, scan
 from .solvers import SolveOutcome
 
 SEARCH_MAX_FREE = 24
@@ -188,7 +187,7 @@ def grover_search_unknown(
         if _round_hits_marked(theta, iterations, rng):
             measured = int(marked_indices[rng.integers(marked_indices.size)])
             if solution_mask[measured]:
-                assignment = expand(spec.reduction, index_to_bits(measured, k))
+                assignment = expand_index(spec.reduction, measured)
                 return SolveOutcome(True, assignment, queries)
             artificial_hits += 1
             if artificial_hits >= certify_repeats:

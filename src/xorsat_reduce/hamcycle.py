@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bits import index_to_bits
 from .errors import GenerationError, GuardExceeded, ParseError
 from .instances import Clause, Instance, Literal
-from .reduction import XorInfeasible, expand, reduce_instance, scan
+from .reduction import XorInfeasible, expand_index, reduce_instance, scan
 
 BRUTE_FORCE_MAX_NODES = 12
 _GENERATOR_ATTEMPTS = 2000
@@ -65,15 +64,18 @@ class Graph:
 
 
 def connected_component_count(graph: Graph) -> int:
-    if graph.n_nodes == 0:
-        return 0
-    adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
-    for u, v in graph.edges:
+    return _component_count(graph.n_nodes, graph.edges)
+
+
+def _component_count(n_nodes: int, edges) -> int:
+    """Connected components of the graph on n_nodes nodes with the given edges."""
+    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    seen = [False] * graph.n_nodes
+    seen = [False] * n_nodes
     components = 0
-    for start in range(graph.n_nodes):
+    for start in range(n_nodes):
         if seen[start]:
             continue
         components += 1
@@ -133,28 +135,14 @@ def is_hamiltonian_cycle(graph: Graph, edge_values) -> bool:
         return False
     selected = [graph.edges[e] for e in np.nonzero(values)[0]]
     degree = np.zeros(graph.n_nodes, dtype=np.int64)
-    adjacency: list[list[int]] = [[] for _ in range(graph.n_nodes)]
     for u, v in selected:
         degree[u] += 1
         degree[v] += 1
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     if degree.min() != 2 or degree.max() != 2:
         return False
-    # Degree 2 everywhere means a disjoint union of cycles; one traversal
-    # reaching every node means it is a single cycle.
-    seen = [False] * graph.n_nodes
-    stack = [0]
-    seen[0] = True
-    reached = 1
-    while stack:
-        node = stack.pop()
-        for nb in adjacency[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                reached += 1
-                stack.append(nb)
-    return reached == graph.n_nodes
+    # Degree 2 everywhere means a disjoint union of cycles; it is a single
+    # cycle exactly when it is connected.
+    return _component_count(graph.n_nodes, selected) == 1
 
 
 def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
@@ -171,7 +159,7 @@ def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
         return None
     for start, degree_ok in scan(instance, outcome):
         for i in np.flatnonzero(degree_ok):
-            candidate = expand(outcome, index_to_bits(start + int(i), outcome.free_count))
+            candidate = expand_index(outcome, start + int(i))
             if is_hamiltonian_cycle(graph, candidate):
                 return candidate
     return None

@@ -134,49 +134,26 @@ def eval_clause_partial(c: Clause, values) -> ClauseStatus:
     return ClauseStatus.INDETERMINATE
 
 
-def clause_tables(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense evaluation tables (signs, negation counts, occupation numbers).
-
-    signs is (M, n) int8 with +1 at unnegated and -1 at negated literal
-    positions; for a batch X of assignments, X @ signs.T + negations
-    gives the true-literal count of every clause. A q above p is stored
-    as p + 1, which no count reaches, so any q fits in int64.
-    """
-    signs = np.zeros((instance.m, instance.n), dtype=np.int8)
-    negations = np.zeros(instance.m, dtype=np.int64)
-    occupations = np.zeros(instance.m, dtype=np.int64)
-    for a, c in enumerate(instance.clauses):
-        for lit in c.literals:
-            signs[a, lit.var] = -1 if lit.negated else 1
-        negations[a] = c.negation_count
-        occupations[a] = min(c.q, c.p + 1)
-    return signs, negations, occupations
-
-
-def eval_batch(instance: Instance, batch, tables=None) -> np.ndarray:
-    """Vectorized eval_instance over the rows of `batch` ((B, n) array)."""
-    x = np.asarray(batch, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] != instance.n:
-        raise ValueError(f"batch shape {x.shape} incompatible with n = {instance.n}")
-    signs, negations, occupations = tables if tables is not None else clause_tables(instance)
-    true_counts = x @ signs.T.astype(np.int64) + negations
-    return (true_counts == occupations).all(axis=1)
-
-
 def brute_force_solutions(instance: Instance) -> list[np.ndarray]:
     """All satisfying assignments, lexicographically ordered (x1 most significant).
 
-    Independent of the reduction pipeline; guarded to n <= 24.
+    Independent of the reduction pipeline; guarded to n <= 24. Each
+    clause's true literals are counted in int64, which no arity can
+    wrap; a q above p can never be met, so it is compared as p + 1.
     """
     if instance.n > BRUTE_FORCE_MAX_VARS:
         raise GuardExceeded("brute-force variable count", instance.n, BRUTE_FORCE_MAX_VARS)
-    tables = clause_tables(instance)
     solutions: list[np.ndarray] = []
     total = 1 << instance.n
     for start in range(0, total, _ENUM_BLOCK):
         block = bit_block(start, min(start + _ENUM_BLOCK, total), instance.n)
-        good = eval_batch(instance, block, tables)
-        solutions.extend(block[i].copy() for i in np.nonzero(good)[0])
+        good = np.ones(len(block), dtype=bool)
+        for c in instance.clauses:
+            true_count = np.zeros(len(block), dtype=np.int64)
+            for lit in c.literals:
+                true_count += block[:, lit.var] ^ lit.negated
+            good &= true_count == min(c.q, c.p + 1)
+        solutions.extend(block[i].copy() for i in np.flatnonzero(good))
     return solutions
 
 
@@ -197,10 +174,7 @@ def gen_locked_random(
     seed. Raises GenerationError when p*m < 2n (pigeonhole-infeasible)
     or when repair fails after bounded restarts.
     """
-    if n < 1 or m < 0 or not 1 <= p <= n or not 1 <= q <= p:
-        raise ValueError(f"bad generator parameters n={n} m={m} p={p} q={q}")
-    if not 0.0 <= negation_prob <= 1.0:
-        raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
+    check_generator_parameters(n, m, p, q, negation_prob)
     if p * m < 2 * n:
         raise GenerationError(
             f"cannot lock {n} variables with {m} clauses of {p} literals ({p * m} slots < {2 * n})"
@@ -228,6 +202,14 @@ def gen_locked_random(
     raise GenerationError(
         f"could not lock n={n} m={m} p={p} within {_GENERATION_RESTARTS} restarts"
     )
+
+
+def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: float) -> None:
+    """Raise ValueError unless gen_locked_random accepts these parameters."""
+    if n < 1 or m < 0 or not 1 <= p <= n or not 1 <= q <= p:
+        raise ValueError(f"bad generator parameters n={n} m={m} p={p} q={q}")
+    if not 0.0 <= negation_prob <= 1.0:
+        raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
 
 
 def _repair_degrees(clause_vars, degree, n, rng) -> bool:

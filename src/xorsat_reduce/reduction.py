@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gf2
-from .bits import index_to_bits
 from .errors import GuardExceeded
 from .gf2 import StandardForm
 from .instances import Instance
@@ -112,25 +111,28 @@ def reduce_instance(instance: Instance):
     )
 
 
+def expand_index(reduction: Reduction, index: int) -> np.ndarray:
+    """The candidate at `index` in lexicographic parameter order.
+
+    Parameter v_j is bit k - 1 - j of index (most significant first), and
+    the assignment is v1*xi1 XOR ... XOR vk*xik XOR offset.
+    """
+    k = reduction.free_count
+    if index < 0 or index >> k:
+        raise ValueError(f"index {index} out of range for k = {k}")
+    out = reduction.offset.copy()
+    for j, row in enumerate(reduction.kernel):
+        if index >> (k - 1 - j) & 1:
+            out ^= row
+    return out
+
+
 def expand(reduction: Reduction, v) -> np.ndarray:
     """Assignment v1*xi1 XOR ... XOR vk*xik XOR offset for a parameter vector v."""
     vec = gf2.as_bin_vec(v)
     if vec.size != reduction.free_count:
         raise ValueError(f"parameter length {vec.size} != k = {reduction.free_count}")
-    out = reduction.offset.copy()
-    for bit, row in zip(vec, reduction.kernel):
-        if bit:
-            out ^= row
-    return out
-
-
-def expand_batch(reduction: Reduction, v_block) -> np.ndarray:
-    """Vectorized expand over the rows of a (B, k) parameter block."""
-    block = np.asarray(v_block, dtype=np.uint8)
-    if block.ndim != 2 or block.shape[1] != reduction.free_count:
-        raise ValueError(f"block shape {block.shape} incompatible with k = {reduction.free_count}")
-    prod = block.astype(np.int64) @ reduction.kernel.astype(np.int64)
-    return ((prod + reduction.offset) % 2).astype(np.uint8)
+    return expand_index(reduction, sum(int(bit) << (vec.size - 1 - j) for j, bit in enumerate(vec)))
 
 
 def _position_planes(width: int) -> np.ndarray:
@@ -200,7 +202,7 @@ def scan(instance: Instance, reduction: Reduction):
     """Walk the 2^k reduced-space candidates in blocks, in lexicographic parameter order.
 
     Yields (start, satisfied) per block: satisfied[i] tells whether
-    expand(reduction, index_to_bits(start + i, k)) satisfies the instance.
+    expand_index(reduction, start + i) satisfies the instance.
     Inside a block of 2^w candidates only the last w parameters vary, so
     each variable is one packed bit plane over the block: the fixed part
     of the block's expansion XOR the planes of the varying parameters
@@ -217,7 +219,7 @@ def scan(instance: Instance, reduction: Reduction):
     clauses = _BitSlicedClauses(instance, planes.shape[1])
     variables = np.empty_like(varying)
     for start in range(0, 1 << k, 1 << width):
-        fixed = expand(reduction, index_to_bits(start, k))
+        fixed = expand_index(reduction, start)
         np.bitwise_xor(varying, fixed[:, None] * _ONES, out=variables)
         plane = clauses.satisfied(variables)
         bits = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), bitorder="little")

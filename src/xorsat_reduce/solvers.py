@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bits import index_to_bits
 from .instances import Instance
-from .reduction import Reduction, XorInfeasible, expand, reduce_instance, scan
+from .reduction import Reduction, XorInfeasible, expand_index, reduce_instance, scan
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,32 +33,28 @@ class TreeStats:
     nodes_per_depth: tuple[int, ...]
 
 
-def _reduction_for(instance: Instance, reduction):
-    if reduction is None:
-        reduction = reduce_instance(instance)
-    return reduction
-
-
 def solve_enumerate(instance: Instance, reduction=None) -> SolveOutcome:
     """Check reduced-space candidates in lexicographic parameter order.
 
     Returns the first satisfying assignment, or Unsat after all 2^k
     candidates fail (queries reports how many were evaluated).
     """
-    reduction = _reduction_for(instance, reduction)
+    if reduction is None:
+        reduction = reduce_instance(instance)
     if isinstance(reduction, XorInfeasible):
         return SolveOutcome(False, None, 0)
     for start, satisfied in scan(instance, reduction):
         hits = np.flatnonzero(satisfied)
         if hits.size:
             first = start + int(hits[0])
-            return SolveOutcome(True, expand(reduction, index_to_bits(first, reduction.free_count)), first + 1)
+            return SolveOutcome(True, expand_index(reduction, first), first + 1)
     return SolveOutcome(False, None, 1 << reduction.free_count)
 
 
 def count_enumerate(instance: Instance, reduction=None) -> int:
     """Exact solution count by checking every reduced-space candidate."""
-    reduction = _reduction_for(instance, reduction)
+    if reduction is None:
+        reduction = reduce_instance(instance)
     if isinstance(reduction, XorInfeasible):
         return 0
     return sum(int(satisfied.sum()) for _, satisfied in scan(instance, reduction))

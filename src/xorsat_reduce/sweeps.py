@@ -14,7 +14,7 @@ import numpy as np
 
 from . import gf2
 from .errors import GenerationError
-from .instances import gen_locked_random
+from .instances import check_generator_parameters, gen_locked_random
 from .reduction import XorInfeasible, build_linear_system, reduce_instance
 from .solvers import backtrack_count, gamma_estimate, optimize_permutation
 
@@ -49,6 +49,9 @@ class SweepConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and (self.p is None or self.q is None):
             raise ValueError("custom problems need explicit p and q")
+        p, q = self.arity
+        for n in self.n_list:
+            check_generator_parameters(n, self.clause_count(n), p, q, self.negation_prob)
 
     @property
     def arity(self) -> tuple[int, int]:

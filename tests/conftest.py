@@ -1,9 +1,10 @@
-"""Shared fixtures and the reference (non-library) instance evaluator."""
+"""Shared fixtures and the reference (non-library) instance evaluator and expansion."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from xorsat_reduce.instances import Clause, Instance, Literal
@@ -19,6 +20,12 @@ def reference_satisfies(instance, bits) -> bool:
         if true_count != cl.q:
             return False
     return True
+
+
+def expand_rows(reduction, bits):
+    """Reference expansion of a (B, k) block of parameter rows: bits @ kernel + offset over GF(2)."""
+    product = np.asarray(bits, dtype=np.int64) @ reduction.kernel.astype(np.int64)
+    return (product % 2).astype(np.uint8) ^ reduction.offset
 
 
 def reference_solutions(instance):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from xorsat_reduce.cli import main
+from xorsat_reduce.hamcycle import emit_graph, petersen_graph
 from xorsat_reduce.instances import parse_instance
 
 CHAIN_TEXT = """\
@@ -41,6 +44,24 @@ e 3 4
 """
 
 
+# Inputs of the golden transcript, by the name that stands for their path there.
+GOLDEN_INPUTS = {
+    "chain": CHAIN_TEXT,
+    "xor-infeasible": XOR_INFEASIBLE_TEXT,
+    "unsat-feasible": UNSAT_FEASIBLE_TEXT,
+    "k4": K4_TEXT,
+    "petersen": emit_graph(petersen_graph()),
+}
+
+
+def golden_transcript():
+    """(command line, exact stdout) pairs from cli_golden.txt; each entry starts with '$ '."""
+    text = (Path(__file__).parent / "cli_golden.txt").read_text()
+    for entry in re.split(r"^\$ ", text, flags=re.MULTILINE)[1:]:
+        command, _, output = entry.partition("\n")
+        yield pytest.param(command, output, id=command)
+
+
 @pytest.fixture
 def chain_file(tmp_path):
     path = tmp_path / "chain.occ"
@@ -57,6 +78,17 @@ def run_json(capsys, *argv) -> dict:
     code, out = run(capsys, *argv)
     assert code == 0
     return json.loads(out)
+
+
+@pytest.mark.parametrize(("command", "expected"), golden_transcript())
+def test_record_output_matches_the_golden_transcript(capsys, tmp_path, command, expected):
+    name, *argv = command.split()
+    path = tmp_path / argv[0]
+    path.write_text(GOLDEN_INPUTS[argv[0]])
+    argv[0] = str(path)
+    code, out = run(capsys, name, *argv)
+    assert code == 0
+    assert out == expected
 
 
 class TestGen:
@@ -285,6 +317,28 @@ class TestSweeps:
         assert summary["kind"] == "summary"
         assert float(summary["gamma"]) >= 0.0
         assert float(summary["mean_sqrt_t"]) >= 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "0"],
+    ["sweep-tree", "--n-list", "10", "--alpha", "-1"],
+    ["sweep-tree", "--n-list", "10,x", "--alpha", "0.8"],
+    ["sweep-tree", "--n-list", "-3", "--alpha", "0.8"],
+    ["sweep-kernel", "--n-list", "10", "--alpha", "0.8", "--problem", "custom"],
+    ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--problem", "custom", "--p", "3", "--q", "5"],
+    ["sweep-tree", "--n-list", "2", "--alpha", "1.0"],
+    ["gen", "--n", "0"],
+    ["gen", "--n", "5", "--neg-prob", "2"],
+    ["gen", "--n", "5", "--p", "9"],
+], ids=" ".join)
+def test_invalid_argument_is_a_usage_error(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: " in captured.err
 
 
 @pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost"])

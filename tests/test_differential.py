@@ -29,7 +29,7 @@ from xorsat_reduce.instances import (
     brute_force_solutions,
     eval_clause_partial,
 )
-from xorsat_reduce.reduction import XorInfeasible, expand_batch, reduce_instance
+from xorsat_reduce.reduction import XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import (
     TreeStats,
     backtrack_count,
@@ -39,7 +39,7 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import reference_satisfies
+from conftest import expand_rows, reference_satisfies
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -96,7 +96,7 @@ def test_scan_consumers_agree_with_brute_force(inst):
     k = reduction.free_count
     mask = OracleSpec(reduction=reduction, instance=inst).solution_mask
     assert mask.shape == (1 << k,)
-    hits = expand_batch(reduction, bit_block(0, 1 << k, k)[mask])
+    hits = expand_rows(reduction, bit_block(0, 1 << k, k)[mask])
     assert as_set(hits) == solutions and len(hits) == len(solutions)
     if solutions:
         assert as_set([outcome.assignment]) <= solutions

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from xorsat_reduce.bits import bit_block, index_to_bits
+from xorsat_reduce.bits import bit_block
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import (
     OracleSpec,
@@ -31,7 +31,7 @@ from xorsat_reduce.instances import (
     eval_instance,
     gen_locked_random,
 )
-from xorsat_reduce.reduction import Reduction, expand, reduce_instance
+from xorsat_reduce.reduction import Reduction, expand, expand_index, reduce_instance
 from xorsat_reduce.solvers import count_enumerate
 
 
@@ -113,11 +113,10 @@ class TestOracle:
         k = spec.free_count
         assert k == 12 and spec.solution_mask.sum() == 1
         target = int(np.nonzero(spec.solution_mask)[0][0])
-        assert eval_instance(inst, expand(spec.reduction, index_to_bits(target, k)))
+        assert eval_instance(inst, expand_index(spec.reduction, target))
         rng = np.random.default_rng(2)
         for index in rng.choice(1 << k, size=400, replace=False):
-            bits = index_to_bits(int(index), k)
-            assert spec.solution_mask[index] == eval_instance(inst, expand(spec.reduction, bits))
+            assert spec.solution_mask[index] == eval_instance(inst, expand_index(spec.reduction, int(index)))
 
     def test_artificial_mark_added(self, unique_solution_instance):
         spec = spec_for(unique_solution_instance, artificial=2)

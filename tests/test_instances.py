@@ -15,7 +15,6 @@ from xorsat_reduce.instances import (
     brute_force_solutions,
     clause,
     emit_instance,
-    eval_batch,
     eval_clause,
     eval_clause_partial,
     eval_instance,
@@ -83,14 +82,6 @@ class TestEvalInstance:
     def test_length_mismatch_rejected(self, chain_instance):
         with pytest.raises(ValueError):
             eval_instance(chain_instance, [0, 1, 0])
-
-    def test_batch_agrees_with_scalar(self, chain_instance):
-        from xorsat_reduce.bits import bit_block
-
-        block = bit_block(0, 32, 5)
-        flags = eval_batch(chain_instance, block)
-        for row, flag in zip(block, flags):
-            assert eval_instance(chain_instance, row) == flag
 
 
 class TestEvalClausePartial:
@@ -220,7 +211,6 @@ class TestBruteForce:
     def test_occupation_beyond_int64_is_never_met(self):
         inst = Instance(4, (clause([(0, False), (1, False)], 1 << 70),))
         assert brute_force_solutions(inst) == []
-        assert not eval_batch(inst, np.ones((1, 4), dtype=np.uint8)).any()
         r = reduce_instance(inst)
         assert count_enumerate(inst, r) == backtrack_count(inst, r)[0] == 0
 

@@ -22,11 +22,13 @@ from xorsat_reduce.reduction import (
     XorInfeasible,
     build_linear_system,
     expand,
-    expand_batch,
+    expand_index,
     expand_standard,
     kernel_excess,
     reduce_instance,
 )
+
+from conftest import expand_rows
 
 
 def xor_solutions(system):
@@ -130,12 +132,13 @@ class TestExpand:
         with pytest.raises(ValueError):
             expand(r, [0, 1, 1])
 
-    def test_batch_matches_scalar(self, chain_instance):
+    def test_index_matches_vector(self, chain_instance):
         r = reduce_instance(chain_instance)
-        block = bit_block(0, 4, 2)
-        batch = expand_batch(r, block)
-        for row, v in zip(batch, block):
-            assert np.array_equal(row, expand(r, v))
+        for index, v in enumerate(bit_block(0, 4, 2)):
+            assert np.array_equal(expand_index(r, index), expand(r, v))
+        for index in (-1, 4):
+            with pytest.raises(ValueError):
+                expand_index(r, index)
 
 
 class TestExpandStandard:
@@ -209,7 +212,7 @@ class TestEnsembleInvariants:
             system = build_linear_system(inst)
             k = outcome.free_count
             block = bit_block(0, 1 << k, k)
-            expansions = expand_batch(outcome, block)
+            expansions = expand_rows(outcome, block)
             for x in expansions:
                 assert np.array_equal(gf2.matvec(system.matrix, x), system.rhs)
             expansion_set = {tuple(x) for x in expansions}

@@ -5,13 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from xorsat_reduce.bits import bit_block, index_to_bits
+from xorsat_reduce.bits import bit_block
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, grover_search_known
 from xorsat_reduce.hamcycle import complete_graph, solve_hc
 from xorsat_reduce.instances import Instance, brute_force_solutions, clause, eval_instance
-from xorsat_reduce.reduction import expand, expand_batch, reduce_instance, scan
+from xorsat_reduce.reduction import expand_index, reduce_instance, scan
 from xorsat_reduce.solvers import count_enumerate, solve_enumerate
+
+from conftest import expand_rows
 
 F, T = False, True
 BLOCK = 1 << 16
@@ -40,8 +42,8 @@ def test_scan_blocks_cover_the_space_in_order(inst, count):
     for start, satisfied in blocks:
         assert satisfied.shape == (BLOCK,)
         for i in (0, 1, BLOCK - 1):
-            assert satisfied[i] == eval_instance(inst, expand(r, index_to_bits(start + i, 17)))
-    hits = np.concatenate([expand_batch(r, bit_block(start, start + BLOCK, 17)[satisfied])
+            assert satisfied[i] == eval_instance(inst, expand_index(r, start + i))
+    hits = np.concatenate([expand_rows(r, bit_block(start, start + BLOCK, 17)[satisfied])
                            for start, satisfied in blocks])
     assert len(hits) == count
     expected = brute_force_solutions(inst)
@@ -57,14 +59,14 @@ def test_consumers_agree_across_the_block_boundary(inst, count):
     assert mask.shape == (1 << 17,) and int(mask.sum()) == count
     rng = np.random.default_rng(0)
     for i in rng.integers(BLOCK, 1 << 17, size=40):
-        assert mask[i] == eval_instance(inst, expand(r, index_to_bits(int(i), 17)))
+        assert mask[i] == eval_instance(inst, expand_index(r, int(i)))
 
     outcome = solve_enumerate(inst, r)
     assert outcome.satisfiable == bool(count)
     if count:
         first = int(np.argmax(mask))
         assert outcome.queries == first + 1
-        assert np.array_equal(outcome.assignment, expand(r, index_to_bits(first, 17)))
+        assert np.array_equal(outcome.assignment, expand_index(r, first))
     else:
         assert outcome.queries == 1 << 17
 
