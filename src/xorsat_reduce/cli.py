@@ -256,7 +256,7 @@ def cmd_sweep_tree(args) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for a count where 0 means "off"."""
+    """argparse type for a seed, or a count where 0 means "off"."""
     try:
         value = int(text)
     except ValueError:
@@ -276,13 +276,13 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _add_record_options(parser):
     """--seed and --json, for the commands that print one record."""
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _add_file_options(parser):
     """--seed and --out, for the commands whose text output can go to a file."""
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative_int, default=0)
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 

@@ -183,21 +183,14 @@ def gen_locked_random(
 
     for _ in range(_GENERATION_RESTARTS):
         clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
-        degree = np.zeros(n, dtype=np.int64)
+        degree = [0] * n
         for cv in clause_vars:
             for v in cv:
                 degree[v] += 1
-        if _repair_degrees(clause_vars, degree, n, rng):
-            negated = rng.random(size=(m, p)) < negation_prob
+        if _repair_degrees(clause_vars, degree, rng):
+            negated = (rng.random(size=(m, p)) < negation_prob).tolist()
             return Instance(
-                n,
-                tuple(
-                    Clause(
-                        tuple(Literal(int(v), bool(negated[a, i])) for i, v in enumerate(cv)),
-                        q,
-                    )
-                    for a, cv in enumerate(clause_vars)
-                ),
+                n, tuple(Clause(tuple(map(Literal, cv, signs)), q) for cv, signs in zip(clause_vars, negated))
             )
     raise GenerationError(
         f"could not lock n={n} m={m} p={p} within {_GENERATION_RESTARTS} restarts"
@@ -212,31 +205,35 @@ def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: fl
         raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
 
 
-def _repair_degrees(clause_vars, degree, n, rng) -> bool:
-    """Swap under-used variables into clause slots until every degree is >= 2."""
+def _repair_degrees(clause_vars, degree, rng) -> bool:
+    """Swap under-used variables into clause slots until every degree is >= 2.
+
+    One pass, in increasing variable order. A placement of v raises
+    degree[v] and lowers only an occupant w with degree[w] >= 3, so no
+    variable ever drops below two: the variables lacking at the start are
+    the only ones ever lacking, and each is placed until its degree reaches
+    two before the next is visited. Every placement gets 200 n + 100 draws
+    of a (clause, slot) pair; False when one runs out of them.
+    """
     m = len(clause_vars)
-    attempts = 200 * n + 100
-    while True:
-        lacking = [v for v in range(n) if degree[v] < 2]
-        if not lacking:
-            return True
-        v = lacking[0]
-        placed = False
-        for _ in range(attempts):
-            a = int(rng.integers(m))
-            if v in clause_vars[a]:
-                continue
-            slot = int(rng.integers(len(clause_vars[a])))
-            w = clause_vars[a][slot]
-            if degree[w] < 3:
-                continue
-            clause_vars[a][slot] = v
-            degree[w] -= 1
-            degree[v] += 1
-            placed = True
-            break
-        if not placed:
-            return False
+    attempts = 200 * len(degree) + 100
+    for v in [v for v, d in enumerate(degree) if d < 2]:
+        while degree[v] < 2:
+            for _ in range(attempts):
+                cv = clause_vars[int(rng.integers(m))]
+                if v in cv:
+                    continue
+                slot = int(rng.integers(len(cv)))
+                w = cv[slot]
+                if degree[w] < 3:
+                    continue
+                cv[slot] = v
+                degree[w] -= 1
+                degree[v] += 1
+                break
+            else:
+                return False
+    return True
 
 
 def parse_instance(text: str) -> Instance:

@@ -8,6 +8,7 @@ by (n, sample) before they are written anywhere.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class SweepConfig:
             raise ValueError("samples must be >= 1")
         if self.perm_trials < 0:
             raise ValueError("perm_trials must be >= 0 (0 skips the optimization)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.problem not in PROBLEM_ARITIES and self.problem != "custom":
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and (self.p is None or self.q is None):
@@ -125,13 +130,16 @@ def _tree_sample(task) -> dict:
 
 def _run(config: SweepConfig, worker) -> list[dict]:
     tasks = [(config, n, s) for n in config.n_list for s in range(config.samples)]
-    if config.threads > 1:
+    # The pool forks all its workers at the first submit, so more than one
+    # per task or per core would only cost processes.
+    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the process pool pulls in multiprocessing, which
         # single-threaded runs never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (8 * config.threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         rows = [worker(t) for t in tasks]
     rows.sort(key=lambda r: (r["n"], r["sample"]))

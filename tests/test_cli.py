@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import subprocess
@@ -319,6 +320,26 @@ class TestSweeps:
         assert float(summary["mean_sqrt_t"]) >= 1.0
 
 
+# sha256 of sweep CSVs recorded before the generator's one-pass repair; any worker count gives these bytes.
+SWEEP_DIGESTS = [
+    pytest.param(["sweep-kernel", "--problem", "occ1in3", "--n-list", "30,60,120,240", "--alpha", "1.0"],
+                 "1b510b8d7c5304ea289b950e1e3639fbfeba3157ef15f2794a5659bb58b4ee62", id="kernel-occ1in3"),
+    pytest.param(["sweep-tree", "--problem", "occ2in4", "--n-list", "21", "--alpha", "0.707"],
+                 "61fe1b596602289fa360a7a9d8eb31ea4405b37c1082df928bd47632fbd848b7", id="tree-occ2in4"),
+    pytest.param(["sweep-tree", "--problem", "occ1in3", "--n-list", "24", "--alpha", "0.789"],
+                 "72755447469a7812e64d754a1c4e314767d9dcf2dc5c91664527d8e9604aeede", id="tree-occ1in3"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(("argv", "digest"), SWEEP_DIGESTS)
+def test_sweep_csv_bytes_are_pinned(capsys, tmp_path, argv, digest, threads):
+    out = tmp_path / "sweep.csv"
+    code, _ = run(capsys, *argv, "--samples", "5", "--threads", threads, "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "0"],
     ["sweep-tree", "--n-list", "10", "--alpha", "-1"],
@@ -330,10 +351,18 @@ class TestSweeps:
     ["gen", "--n", "0"],
     ["gen", "--n", "5", "--neg-prob", "2"],
     ["gen", "--n", "5", "--p", "9"],
+    ["gen", "--n", "9", "--seed", "-1"],
+    ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "1", "--seed", "-1"],
+    ["sweep-kernel", "--n-list", "10", "--alpha", "1.0", "--samples", "1", "--seed", "-1"],
+    ["grover", "CHAIN", "--seed", "-1"],
+    ["backtrack", "CHAIN", "--perm-trials", "2", "--seed", "-1"],
+    ["sweep-kernel", "--n-list", "10", "--alpha", "1.0", "--samples", "1", "--threads", "0"],
+    ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "1", "--threads", "-3"],
 ], ids=" ".join)
-def test_invalid_argument_is_a_usage_error(capsys, argv):
+def test_invalid_argument_is_a_usage_error(capsys, chain_file, argv):
+    """CHAIN stands for the path of a readable instance file."""
     try:
-        code = main(argv)
+        code = main([chain_file if arg == "CHAIN" else arg for arg in argv])
     except SystemExit as exit_:
         code = exit_.code
     captured = capsys.readouterr()

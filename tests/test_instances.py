@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from xorsat_reduce import instances
 from xorsat_reduce.errors import GenerationError, GuardExceeded, ParseError
 from xorsat_reduce.instances import (
     INDETERMINATE,
@@ -13,6 +16,7 @@ from xorsat_reduce.instances import (
     Instance,
     Literal,
     brute_force_solutions,
+    check_generator_parameters,
     clause,
     emit_instance,
     eval_clause,
@@ -187,6 +191,141 @@ class TestGenerator:
             gen_locked_random(5, 4, 3, 4, seed=0)
         with pytest.raises(ValueError):
             gen_locked_random(5, 4, 3, 1, negation_prob=1.5, seed=0)
+
+
+def reference_gen_locked_random(n, m, p, q, negation_prob=0.5, seed=0):
+    """The generator with its original repair, which rescans every degree (a numpy array)
+    before each placement: the reference for the random stream gen_locked_random must keep."""
+    check_generator_parameters(n, m, p, q, negation_prob)
+    if p * m < 2 * n:
+        raise GenerationError(
+            f"cannot lock {n} variables with {m} clauses of {p} literals ({p * m} slots < {2 * n})"
+        )
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    for _ in range(100):
+        clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
+        degree = np.zeros(n, dtype=np.int64)
+        for cv in clause_vars:
+            for v in cv:
+                degree[v] += 1
+        if _reference_repair(clause_vars, degree, n, rng):
+            negated = rng.random(size=(m, p)) < negation_prob
+            return Instance(n, tuple(
+                Clause(tuple(Literal(int(v), bool(negated[a, i])) for i, v in enumerate(cv)), q)
+                for a, cv in enumerate(clause_vars)
+            ))
+    raise GenerationError(f"could not lock n={n} m={m} p={p} within 100 restarts")
+
+
+def _reference_repair(clause_vars, degree, n, rng) -> bool:
+    m = len(clause_vars)
+    attempts = 200 * n + 100
+    while True:
+        lacking = [v for v in range(n) if degree[v] < 2]
+        if not lacking:
+            return True
+        v = lacking[0]
+        placed = False
+        for _ in range(attempts):
+            a = int(rng.integers(m))
+            if v in clause_vars[a]:
+                continue
+            slot = int(rng.integers(len(clause_vars[a])))
+            w = clause_vars[a][slot]
+            if degree[w] < 3:
+                continue
+            clause_vars[a][slot] = v
+            degree[w] -= 1
+            degree[v] += 1
+            placed = True
+            break
+        if not placed:
+            return False
+
+
+class _EvenDraws(np.random.Generator):
+    """Draws only even clause and slot indices, so repairs can run out of attempts."""
+
+    def integers(self, *args, **kwargs):
+        value = super().integers(*args, **kwargs)
+        return value - value % 2
+
+
+class _StuckDraws(np.random.Generator):
+    """Always draws clause 0, slot 0 (without touching the stream), so repairs that need
+    a second placement fail."""
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+
+def _generate_both(n, m, p, q, negation_prob, make_rng):
+    """(instance and its file text, or the GenerationError message; rng state after) per generator."""
+    outcomes = []
+    for generate in (gen_locked_random, reference_gen_locked_random):
+        rng = make_rng()
+        try:
+            inst = generate(n, m, p, q, negation_prob, seed=rng)
+            result = (inst, emit_instance(inst))
+        except GenerationError as err:
+            result = str(err)
+        state = rng.bit_generator.state if isinstance(rng, np.random.Generator) else None
+        outcomes.append((result, state))
+    return outcomes
+
+
+@st.composite
+def generator_shapes(draw, min_n=3, max_n=240, tight_only=False):
+    """(n, m, p, q): m one below the pigeonhole bound ceil(2n/p), at or just above it, or up to 2n."""
+    p = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(max(p, min_n), max_n))
+    tight = -(-2 * n // p)
+    if tight_only:
+        m = tight
+    else:
+        m = draw(st.sampled_from([tight - 1, tight, tight + 1, tight + 2]) | st.integers(tight, 2 * n))
+    return n, m, p, draw(st.integers(1, p))
+
+
+NEGATION_PROBS = st.sampled_from([0.0, 1.0, 0.5, 0.789])
+
+
+class TestGeneratorStream:
+    """gen_locked_random returns what the reference returns and leaves the caller's rng in the same state."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(shape=generator_shapes(), negation_prob=NEGATION_PROBS,
+           seed=st.integers(0, 2**64 - 1), pass_generator=st.booleans())
+    @example(shape=(240, 240, 3, 1), negation_prob=0.5, seed=0, pass_generator=True)
+    @example(shape=(240, 120, 4, 2), negation_prob=1.0, seed=7, pass_generator=True)
+    def test_same_instances_and_rng_state(self, shape, negation_prob, seed, pass_generator):
+        make_rng = (lambda: np.random.default_rng(seed)) if pass_generator else (lambda: seed)
+        first, second = _generate_both(*shape, negation_prob, make_rng)
+        assert first == second
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=30)
+    @given(shape=generator_shapes(min_n=6, max_n=9, tight_only=True), negation_prob=NEGATION_PROBS, seed=st.integers(0, 2**64 - 1))
+    def test_same_restarts(self, shape, negation_prob, seed):
+        first, second = _generate_both(*shape, negation_prob, lambda: _EvenDraws(np.random.PCG64(seed)))
+        assert first == second
+
+    def test_same_failure_after_every_restart(self):
+        first, second = _generate_both(9, 6, 3, 1, 0.5, lambda: _StuckDraws(np.random.PCG64(3)))
+        assert first == second
+        assert first[0] == "could not lock n=9 m=6 p=3 within 100 restarts"
+
+    def test_even_draws_force_restarts(self, monkeypatch):
+        """The restart test's rng really makes repairs fail, then succeed on a later try."""
+        results = []
+        real = instances._repair_degrees
+
+        def record(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(instances, "_repair_degrees", record)
+        gen_locked_random(7, 5, 3, 1, seed=_EvenDraws(np.random.PCG64(0)))
+        assert False in results and results[-1]
 
 
 class TestBruteForce:

@@ -33,6 +33,47 @@ def test_negative_perm_trials_rejected(trials):
         SweepConfig("occ1in3", (12,), 0.8, samples=1, perm_trials=trials)
 
 
+@pytest.mark.parametrize(("field", "value"), [("seed", -1), ("threads", 0), ("threads", -3)])
+def test_negative_seed_and_fewer_than_one_thread_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SweepConfig("occ1in3", (12,), 0.8, samples=1, **{field: value})
+
+
+@pytest.mark.parametrize(("threads", "samples", "cores", "workers"), [
+    (10**6, 3, 4, 3),     # no more workers than tasks
+    (10**6, 10, 4, 4),    # no more workers than cores
+    (2, 10, 4, 2),
+    (10**6, 10, None, None),  # unknown core count: one worker, no pool
+    (3, 1, 4, None),      # one task: no pool
+])
+def test_process_pool_is_bounded_by_tasks_and_cores(monkeypatch, threads, samples, cores, workers):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: cores)
+    config = SweepConfig("occ1in3", (12,), 1.0, samples=samples, threads=threads)
+    rows, _ = sweeps.kernel_sweep(config)
+    assert sizes == ([] if workers is None else [workers])
+    assert rows == sweeps.kernel_sweep(SweepConfig("occ1in3", (12,), 1.0, samples=samples))[0]
+
+
 def test_zero_perm_trials_skips_the_optimization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("optimize_permutation ran with perm_trials=0")
