@@ -225,7 +225,8 @@ def _rows_to_csv(fields, rows, summaries) -> str:
     return buffer.getvalue()
 
 
-def _sweep_config(args) -> SweepConfig:
+def _sweep_config(args, **options) -> SweepConfig:
+    """The sweep's SweepConfig; `options` are the fields only one sweep reads."""
     try:
         return SweepConfig(
             problem=args.problem,
@@ -234,10 +235,10 @@ def _sweep_config(args) -> SweepConfig:
             samples=args.samples,
             seed=args.seed,
             negation_prob=args.neg_prob,
-            perm_trials=args.perm_trials,
             p=args.p,
             q=args.q,
             threads=args.threads,
+            **options,
         )
     except ValueError as err:
         raise _BadInput(str(err)) from None
@@ -250,7 +251,7 @@ def cmd_sweep_kernel(args) -> int:
 
 
 def cmd_sweep_tree(args) -> int:
-    rows, summaries = tree_sweep(_sweep_config(args))
+    rows, summaries = tree_sweep(_sweep_config(args, perm_trials=args.perm_trials))
     _write_text(args, _rows_to_csv(TREE_CSV_FIELDS, rows, summaries))
     return 0
 
@@ -274,15 +275,18 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"invalid comma-separated int list: {text!r}") from None
 
 
-def _add_record_options(parser):
-    """--seed and --json, for the commands that print one record."""
+def _add_seed_option(parser):
     parser.add_argument("--seed", type=_non_negative_int, default=0)
+
+
+def _add_record_options(parser):
+    """--json, for the commands that print one record."""
     parser.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _add_file_options(parser):
     """--seed and --out, for the commands whose text output can go to a file."""
-    parser.add_argument("--seed", type=_non_negative_int, default=0)
+    _add_seed_option(parser)
     parser.add_argument("--out", help="write output to a file instead of stdout")
 
 
@@ -297,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random locked instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="clause count (default floor(alpha*n))")
-    p.add_argument("--alpha", type=float, default=1.0)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--m", type=int, default=None, help="clause count (default floor(alpha*n))")
+    size.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--neg-prob", type=float, default=0.5)
@@ -320,11 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true", help="exhaust the tree and count solutions")
     p.add_argument("--perm-trials", type=_non_negative_int, default=0,
                    help="optimize the free block first (0: off)")
+    _add_seed_option(p)
     _add_record_options(p)
     p.set_defaults(func=cmd_backtrack)
 
     p = sub.add_parser("grover", help="simulated Grover search with unknown solution count")
     p.add_argument("instance")
+    _add_seed_option(p)
     _add_record_options(p)
     p.set_defaults(func=cmd_grover)
 
@@ -340,14 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_record_options(p)
     p.set_defaults(func=cmd_hc)
 
-    for name, func, trials in (("sweep-kernel", cmd_sweep_kernel, 0), ("sweep-tree", cmd_sweep_tree, 100)):
+    for name, func in (("sweep-kernel", cmd_sweep_kernel), ("sweep-tree", cmd_sweep_tree)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} ensemble sweep (CSV)")
         p.add_argument("--problem", choices=["occ1in3", "occ2in4", "custom"], default="occ1in3")
         p.add_argument("--n-list", type=_int_list, required=True, help="comma-separated variable counts")
         p.add_argument("--alpha", type=float, required=True)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--neg-prob", type=float, default=0.5)
-        p.add_argument("--perm-trials", type=_non_negative_int, default=trials)
+        if func is cmd_sweep_tree:
+            p.add_argument("--perm-trials", type=_non_negative_int, default=100)
         p.add_argument("--p", type=int, default=None)
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--threads", type=int, default=1)

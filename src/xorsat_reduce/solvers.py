@@ -186,6 +186,15 @@ def _clause_masks(instance: Instance) -> list[int]:
     return masks
 
 
+def _at_least_degree(masks: list[int]) -> list[int]:
+    """at_least[x] has bit v set iff variable v occurs in at least x clauses, up to the top degree."""
+    at_least = [0] * (max((m.bit_count() for m in masks), default=0) + 1)
+    for v, m in enumerate(masks):
+        for x in range(m.bit_count() + 1):
+            at_least[x] |= 1 << v
+    return at_least
+
+
 def _coverage(masks: list[int], variables) -> int:
     """Number of clauses containing at least one of `variables`."""
     covered = 0
@@ -236,6 +245,8 @@ def optimize_permutation(
         return reduction
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     masks = _clause_masks(instance)
+    clause_vars = [sum(1 << lit.var for lit in c.literals) for c in instance.clauses]
+    at_least_degree = _at_least_degree(masks)
     kernel_rows = gf2._pack(reduction.kernel)
     input_sel = [int(v) for v in reduction.standard.perm[:k]]
     input_rows = list(kernel_rows)
@@ -252,7 +263,7 @@ def optimize_permutation(
             # A random column order; its pivots are a uniform-ish random full-rank block.
             rows = list(kernel_rows)
             sel = gf2._gauss_jordan(rows, rng.permutation(n).tolist())
-        score = _climb(masks, sel, rows)
+        score = _climb(masks, clause_vars, at_least_degree, sel, rows)
         key = tuple(sorted(sel))
         if key not in candidates:
             candidates[key] = (score, dict(zip(sel, rows)))
@@ -318,37 +329,73 @@ def _readiness_order(sel, rows) -> list[int]:
     return chosen
 
 
-def _climb(masks: list[int], sel: list[int], rows: list[int]) -> int:
+def _climb(masks: list[int], clause_vars: list[int], at_least_degree: list[int],
+           sel: list[int], rows: list[int]) -> int:
     """Best-improvement swaps until no valid swap raises the score; returns the score.
 
-    `rows` are the kernel rows reduced on `sel` (row i has bit sel[i] and
-    no other selected bit); both lists are updated in place. Swapping
-    sel[c] for a dependent d keeps the block full-rank iff rows[c] has
-    bit d, and it scores the clauses covered by the other free variables
-    or by d. Swaps are tried by free position, then by ascending d, and
-    the first best one is taken: one pivot on (c, d), after which the
-    block is sel without sel[c], then d.
+    masks[v] holds the clauses of variable v, clause_vars[a] the variables
+    of clause a, and at_least_degree[x] the variables in at least x
+    clauses. `rows` are the kernel rows reduced on `sel` (row i has bit
+    sel[i] and no other selected bit); both lists are updated in place.
+    Swapping sel[c] for a dependent d keeps the block full-rank iff
+    rows[c] has bit d, and it scores the clauses covered by the other
+    free variables or by d. Swaps are tried by free position, then by
+    ascending d, and the first best one is taken: one pivot on (c, d),
+    after which the block is sel without sel[c], then d.
+
+    Only swaps that can strictly beat the best score so far are scored.
+    With S the block's cover, alone_c the u_c clauses that only sel[c]
+    covers and g_d the uncovered clauses d is in, the swap scores
+    S - u_c + g_d + |masks[d] & alone_c|, so it gains at most
+    min(g_d, deg_d - u_c). With thr = best - S it can win only if
+    g_d > thr and deg_d > u_c + thr. A skipped swap would not have
+    replaced the best one, so every choice is the one that scoring all
+    swaps makes.
     """
     k = len(sel)
-    selected = sum(1 << v for v in sel)
+    uncovered_all = (1 << len(clause_vars)) - 1
+    top = len(at_least_degree)
     while True:
-        prefix = [0] * (k + 1)  # prefix[c]: clauses covered by sel[:c]
-        suffix = [0] * (k + 1)  # suffix[c]: clauses covered by sel[c:]
-        for i in range(k):
-            prefix[i + 1] = prefix[i] | masks[sel[i]]
-            suffix[k - 1 - i] = suffix[k - i] | masks[sel[k - 1 - i]]
-        score = best = prefix[k].bit_count()
+        once = twice = 0  # clauses covered by at least one / two selected variables
+        for v in sel:
+            twice |= once & masks[v]
+            once |= masks[v]
+        # gains[t]: the variables in more than t uncovered clauses (none are
+        # selected). Each clause's variables x ripple up one level, like a carry.
+        gains: list[int] = []
+        uncovered = uncovered_all & ~once
+        while uncovered:
+            low = uncovered & -uncovered
+            uncovered ^= low
+            x = clause_vars[low.bit_length() - 1]
+            for t, level in enumerate(gains):
+                gains[t] = level | x
+                x &= level
+            if x:
+                gains.append(x)
+        score = best = once.bit_count()
         choice = None
         for c in range(k):
-            others = prefix[c] | suffix[c + 1]
-            dependents = rows[c] & ~selected
-            while dependents:
-                low = dependents & -dependents
+            thr = best - score
+            if thr >= len(gains):
+                break
+            alone = masks[sel[c]] & ~twice
+            u = alone.bit_count()
+            if u + thr + 1 >= top:
+                continue
+            survivors = rows[c] & gains[thr] & at_least_degree[u + thr + 1]
+            others = once ^ alone
+            while survivors:
+                low = survivors & -survivors
+                survivors ^= low
                 d = low.bit_length() - 1
                 s = (others | masks[d]).bit_count()
                 if s > best:
                     best, choice = s, (c, d)
-                dependents ^= low
+                    thr = best - score
+                    if thr >= len(gains) or u + thr + 1 >= top:
+                        break
+                    survivors &= gains[thr] & at_least_degree[u + thr + 1]
         if choice is None:
             return score
         c, d = choice
@@ -356,7 +403,7 @@ def _climb(masks: list[int], sel: list[int], rows: list[int]) -> int:
         bit = 1 << d
         rows[:] = [row ^ pivot if row & bit else row for row in rows]
         rows.append(pivot)
-        selected ^= 1 << sel.pop(c) | bit
+        sel.pop(c)
         sel.append(d)
 
 

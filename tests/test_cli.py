@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from xorsat_reduce.cli import main
+from xorsat_reduce.cli import build_parser, main
 from xorsat_reduce.hamcycle import emit_graph, petersen_graph
 from xorsat_reduce.instances import parse_instance
 
@@ -67,6 +68,13 @@ def golden_transcript():
 def chain_file(tmp_path):
     path = tmp_path / "chain.occ"
     path.write_text(CHAIN_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def k4_file(tmp_path):
+    path = tmp_path / "k4.graph"
+    path.write_text(K4_TEXT)
     return str(path)
 
 
@@ -299,14 +307,17 @@ class TestSweeps:
         run(capsys, *args, "--threads", "2", "--out", str(c))
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
-    @pytest.mark.parametrize("command", ["sweep-tree", "sweep-kernel"])
-    def test_negative_perm_trials_is_a_usage_error(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(("command", "reason"), [
+        ("sweep-tree", "must be >= 0"),
+        ("sweep-kernel", "unrecognized arguments"),  # the kernel sweep builds no tree
+    ], ids=["sweep-tree", "sweep-kernel"])
+    def test_negative_perm_trials_is_a_usage_error(self, capsys, tmp_path, command, reason):
         out = tmp_path / "never.csv"
         with pytest.raises(SystemExit) as err:
             main([command, "--n-list", "10", "--alpha", "0.8", "--samples", "1",
                   "--perm-trials", "-3", "--out", str(out)])
         assert err.value.code == 2 and not out.exists()
-        assert "must be >= 0" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
 
     def test_tree_csv_has_gamma_summary(self, capsys, tmp_path):
         out = tmp_path / "tree.csv"
@@ -358,16 +369,75 @@ def test_sweep_csv_bytes_are_pinned(capsys, tmp_path, argv, digest, threads):
     ["backtrack", "CHAIN", "--perm-trials", "2", "--seed", "-1"],
     ["sweep-kernel", "--n-list", "10", "--alpha", "1.0", "--samples", "1", "--threads", "0"],
     ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "1", "--threads", "-3"],
+    ["gen", "--n", "9", "--m", "6", "--alpha", "1.0"],
+    ["solve", "CHAIN", "--seed", "1"],
+    ["count", "CHAIN", "--seed", "1"],
+    ["grover-cost", "CHAIN", "--seed", "1"],
+    ["hc", "K4", "--seed", "1"],
+    ["sweep-kernel", "--n-list", "10", "--alpha", "1.0", "--samples", "1", "--perm-trials", "5"],
 ], ids=" ".join)
-def test_invalid_argument_is_a_usage_error(capsys, chain_file, argv):
-    """CHAIN stands for the path of a readable instance file."""
+def test_invalid_argument_is_a_usage_error(capsys, chain_file, k4_file, argv):
+    """CHAIN and K4 stand for the paths of a readable instance and graph file."""
+    paths = {"CHAIN": chain_file, "K4": k4_file}
     try:
-        code = main([chain_file if arg == "CHAIN" else arg for arg in argv])
+        code = main([paths.get(arg, arg) for arg in argv])
     except SystemExit as exit_:
         code = exit_.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "error: " in captured.err
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed arguments that remember which of them a command reads."""
+
+    def __init__(self, **values):
+        super().__init__(**values)
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# One run per command with every option it accepts; CHAIN, K4 and OUT stand for file paths.
+# --m is left out of gen because it and --alpha exclude each other.
+EVERY_OPTION = [
+    ["gen", "--n", "9", "--alpha", "1.0", "--p", "3", "--q", "1", "--neg-prob", "0.5",
+     "--seed", "1", "--out", "OUT"],
+    ["solve", "CHAIN", "--json"],
+    ["count", "CHAIN", "--json"],
+    ["backtrack", "CHAIN", "--count", "--perm-trials", "2", "--seed", "1", "--json"],
+    ["grover", "CHAIN", "--seed", "1", "--json"],
+    ["grover-cost", "CHAIN", "--count-solutions", "--json"],
+    ["hc", "K4", "--json"],
+    ["sweep-kernel", "--problem", "custom", "--n-list", "9", "--alpha", "1.0", "--samples", "1",
+     "--neg-prob", "0.5", "--p", "3", "--q", "1", "--threads", "1", "--seed", "1", "--out", "OUT"],
+    ["sweep-tree", "--problem", "custom", "--n-list", "9", "--alpha", "0.8", "--samples", "1",
+     "--neg-prob", "0.5", "--perm-trials", "2", "--p", "3", "--q", "1", "--threads", "1",
+     "--seed", "1", "--out", "OUT"],
+]
+
+
+def test_every_command_is_run_with_every_option():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(argv[0] for argv in EVERY_OPTION) == sorted(commands)
+    for name, *argv in EVERY_OPTION:
+        flags = {a.option_strings[-1] for a in commands[name]._actions if a.option_strings and a.dest != "help"}
+        assert flags - set(argv) == ({"--m"} if name == "gen" else set()), name
+
+
+@pytest.mark.parametrize("argv", EVERY_OPTION, ids=lambda argv: argv[0])
+def test_every_option_a_command_parses_is_read(capsys, chain_file, k4_file, tmp_path, argv):
+    paths = {"CHAIN": chain_file, "K4": k4_file, "OUT": str(tmp_path / "out.txt")}
+    parsed = build_parser().parse_args([paths.get(arg, arg) for arg in argv])
+    args = ReadRecorder(**vars(parsed))
+    assert parsed.func(args) == 0
+    capsys.readouterr()
+    unread = set(vars(parsed)) - {"command", "func"} - object.__getattribute__(args, "_reads")
+    assert not unread, f"{argv[0]} parses but never reads {sorted(unread)}"
 
 
 @pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost"])

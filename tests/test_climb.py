@@ -1,11 +1,12 @@
-"""The permutation climb against a copy of the numpy climb it replaced.
+"""The permutation climb against copies of the climbs it replaced.
 
 `optimize_permutation` holds each free block as packed kernel rows reduced
 on it and swaps by one pivot; the reference below rebuilds a standard form
 at every step and scores swaps on a dense clause-incidence array. Both must
 make the same choices: the same returned standard form, the same object
 when the order does not change, and the same draws from the caller's
-generator.
+generator. `_climb` skips the swaps that cannot win; it is also compared,
+one climb at a time, with a copy of the packed climb that scored them all.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from xorsat_reduce import gf2
 from xorsat_reduce.errors import GenerationError
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
-from xorsat_reduce.solvers import optimize_permutation
+from xorsat_reduce.solvers import _at_least_degree, _climb, optimize_permutation
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -202,3 +203,68 @@ def test_at_most_one_standard_form_per_call(monkeypatch):
         assert len(calls) == (result is not reduction)
         changed += result is not reduction
     assert changed > 0
+
+
+def unpruned_climb(masks, sel, rows):
+    """The packed climb before the bound: every valid (free, dependent) swap is scored."""
+    k = len(sel)
+    selected = sum(1 << v for v in sel)
+    while True:
+        prefix = [0] * (k + 1)  # prefix[c]: clauses covered by sel[:c]
+        suffix = [0] * (k + 1)  # suffix[c]: clauses covered by sel[c:]
+        for i in range(k):
+            prefix[i + 1] = prefix[i] | masks[sel[i]]
+            suffix[k - 1 - i] = suffix[k - i] | masks[sel[k - 1 - i]]
+        score = best = prefix[k].bit_count()
+        choice = None
+        for c in range(k):
+            others = prefix[c] | suffix[c + 1]
+            dependents = rows[c] & ~selected
+            while dependents:
+                low = dependents & -dependents
+                d = low.bit_length() - 1
+                s = (others | masks[d]).bit_count()
+                if s > best:
+                    best, choice = s, (c, d)
+                dependents ^= low
+        if choice is None:
+            return score
+        c, d = choice
+        pivot = rows.pop(c)
+        bit = 1 << d
+        rows[:] = [row ^ pivot if row & bit else row for row in rows]
+        rows.append(pivot)
+        selected ^= 1 << sel.pop(c) | bit
+        sel.append(d)
+
+
+@st.composite
+def climb_starts(draw):
+    """Clause sets and a reduced full-rank block, not drawn from locked instances.
+
+    Clauses hold up to 8 variables and may be empty, variables may be in
+    no clause, M may be 0, and k = 1 and k = n - 1 are drawn often.
+    """
+    n = draw(st.integers(2, 24))
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    rows = [draw(st.integers(1, (1 << n) - 1)) for _ in range(k)]
+    sel = gf2._gauss_jordan(rows, draw(st.permutations(range(n))))
+    assume(len(sel) == k)
+    width = draw(st.integers(0, min(8, n)))
+    clauses = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=width, unique=True), max_size=40))
+    masks = [0] * n
+    for a, clause in enumerate(clauses):
+        for v in clause:
+            masks[v] |= 1 << a
+    clause_vars = [sum(1 << v for v in clause) for clause in clauses]
+    return masks, clause_vars, sel, rows
+
+
+@settings(max_examples=500, **SETTINGS)
+@given(climb_starts())
+def test_pruned_climb_matches_the_unpruned_climb(start):
+    masks, clause_vars, sel, rows = start
+    want_sel, want_rows = list(sel), list(rows)
+    want = unpruned_climb(masks, want_sel, want_rows)
+    got = _climb(masks, clause_vars, _at_least_degree(masks), sel, rows)
+    assert (got, sel, rows) == (want, want_sel, want_rows)
