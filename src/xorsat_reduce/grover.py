@@ -3,9 +3,15 @@
 The oracle acts on the 2^k parameter indices of a reduction: it flips
 the phase of |v> exactly when the expanded assignment satisfies the
 instance (or when v carries the artificial mark used for no-solution
-certification). States are dense complex statevectors and the oracle is
-applied as an index-wise phase flip; the gate-level structure of the
-oracle is modeled separately by `oracle_resources`.
+certification). Both searches sample their measurement from the closed
+form: after r iterations from the uniform state every marked amplitude
+equals sin((2r+1) theta)/sqrt(V) and every unmarked one
+cos((2r+1) theta)/sqrt(N - V), with sin^2 theta = V/N (Boyer, Brassard,
+Hoyer & Tapp, "Tight bounds on quantum searching", 1998). The dense
+complex statevector simulators (`uniform_state`, `apply_oracle`,
+`grover_iterate`) stay as the reference they are checked against; the
+gate-level structure of the oracle is modeled separately by
+`oracle_resources`.
 """
 
 from __future__ import annotations
@@ -123,7 +129,13 @@ def grover_search_known(
 
     Runs floor(pi/4 * sqrt(2^k / v_count)) iterations from the uniform
     state and samples once; returns (measured index, whether it is
-    marked, iterations used).
+    marked, iterations used). The final state is not simulated: each
+    index's measurement probability is its class's share, spread evenly
+    over the class. The angle comes from the number of indices
+    `spec.marked_mask` actually marks, so a `v_count` that differs from
+    it changes only the iteration count, as in the dense simulation. An
+    empty class gets no share: with nothing (or everything) marked the
+    oracle is the identity (or -1) and the state stays uniform.
     """
     k = spec.free_count
     if k > SEARCH_MAX_FREE:
@@ -133,12 +145,25 @@ def grover_search_known(
         raise ValueError(f"marked count {v_count} not in [1, {total}]")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     iterations = int(math.pi / 4 * math.sqrt(total / v_count))
-    state = uniform_state(k)
-    for _ in range(iterations):
-        state = grover_iterate(spec, state)
-    probs = np.abs(state) ** 2
+    mask = spec.marked_mask
+    marked = int(np.count_nonzero(mask))
+    p_marked, p_unmarked = _class_probabilities(math.asin(math.sqrt(marked / total)), iterations)
+    per_marked = p_marked / marked if marked else 0.0
+    per_unmarked = p_unmarked / (total - marked) if marked < total else 0.0
+    probs = np.where(mask, per_marked, per_unmarked)
     measured = int(rng.choice(total, p=probs / probs.sum()))
-    return measured, bool(spec.marked_mask[measured]), iterations
+    return measured, bool(mask[measured]), iterations
+
+
+def _class_probabilities(theta: float, iterations: int) -> tuple[float, float]:
+    """Probabilities of measuring the marked and the unmarked class.
+
+    After `iterations` Grover steps from uniform they are
+    sin^2((2r+1) theta) and cos^2((2r+1) theta), where
+    sin^2 theta is the marked fraction of the indices.
+    """
+    angle = (2 * iterations + 1) * theta
+    return math.sin(angle) ** 2, math.cos(angle) ** 2
 
 
 def _round_hits_marked(theta: float, iterations: int, rng) -> bool:
@@ -149,7 +174,7 @@ def _round_hits_marked(theta: float, iterations: int, rng) -> bool:
     the index is uniform within the class; this matches the explicit
     statevector simulation exactly.
     """
-    p_marked = math.sin((2 * iterations + 1) * theta) ** 2
+    p_marked, _ = _class_probabilities(theta, iterations)
     return bool(rng.random() < p_marked)
 
 

@@ -68,6 +68,30 @@ def closed_form_probability(k: int, v: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
+def dense_search_known(spec: OracleSpec, v_count: int, seed: int) -> tuple[tuple[int, bool, int], np.ndarray]:
+    """Reference known-count search on the dense statevector: (triple, |state|^2)."""
+    k = spec.free_count
+    iterations = int(math.pi / 4 * math.sqrt(2 ** k / v_count))
+    state = uniform_state(k)
+    for _ in range(iterations):
+        state = grover_iterate(spec, state)
+    probs = np.abs(state) ** 2
+    measured = int(np.random.default_rng(seed).choice(1 << k, p=probs / probs.sum()))
+    return (measured, bool(spec.marked_mask[measured]), iterations), probs
+
+
+class RecordingGenerator(np.random.Generator):
+    """numpy's default generator for `seed`, keeping the `p` its last `choice` was given."""
+
+    def __init__(self, seed: int):
+        super().__init__(np.random.PCG64(seed))
+        self.p = None
+
+    def choice(self, a, *args, p=None, **kwargs):
+        self.p = p
+        return super().choice(a, *args, p=p, **kwargs)
+
+
 class TestOracle:
     def test_identity_when_nothing_marked(self):
         spec = spec_for(unsat_but_feasible_instance())
@@ -205,6 +229,63 @@ class TestSearchKnown:
             grover_search_known(spec, 0, 1)
         with pytest.raises(ValueError):
             grover_search_known(spec, 5, 1)
+
+    # (instance, artificial mark, v_count); v_count None means the solution
+    # count. An artificial mark on a non-solution index makes the marked
+    # count one more than that, so the iteration count and the rotation
+    # angle come from different counts, as in the "+ artificial" cases.
+    DENSE_CASES = {
+        "unique k2": (repeated_unique_instance(1), None, None),
+        "unique k6": (repeated_unique_instance(3), None, None),
+        "unique k16": (repeated_unique_instance(8), None, None),
+        "unique k10 + artificial": (repeated_unique_instance(5), 3, None),
+        "four solutions k6 + artificial": (Instance(10, repeated_unique_instance(2).clauses), 5, None),
+        "locked 1in3 k9": (gen_locked_random(24, 16, 3, 1, seed=1), None, None),
+        "locked 1in3 k9 + artificial": (gen_locked_random(24, 16, 3, 1, seed=1), 0, None),
+        "locked 1in3 k11 + artificial": (gen_locked_random(30, 20, 3, 1, seed=3), 0, None),
+        "only artificial k5": (Instance(6, unsat_but_feasible_instance().clauses), 9, 1),
+    }
+
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_matches_dense_reference(self, case):
+        instance, artificial, v_count = self.DENSE_CASES[case]
+        spec = spec_for(instance, artificial)
+        assert spec.free_count <= 16
+        if v_count is None:
+            v_count = count_enumerate(instance, spec.reduction)
+            assert v_count >= 1
+            assert int(spec.marked_mask.sum()) == v_count + (artificial is not None)
+        for seed in range(6):
+            expected, dense_probs = dense_search_known(spec, v_count, seed)
+            rng = RecordingGenerator(seed)
+            assert grover_search_known(spec, v_count, rng) == expected
+            assert np.max(np.abs(rng.p - dense_probs)) < 1e-12
+
+    @pytest.mark.parametrize("instance, v_count, marked_fraction", [
+        (unsat_but_feasible_instance(), 1, 0.0),
+        (Instance(6, unsat_but_feasible_instance().clauses), 2, 0.0),
+        (Instance(4, ()), 3, 1.0),
+        (Instance(4, ()), 16, 1.0),
+    ])
+    def test_empty_class_leaves_the_state_uniform(self, instance, v_count, marked_fraction):
+        # With no index marked the oracle is the identity, with every index
+        # marked it is -1; either way the state stays uniform.
+        spec = spec_for(instance)
+        total = 1 << spec.free_count
+        assert spec.marked_mask.mean() == marked_fraction
+        for seed in range(4):
+            rng = RecordingGenerator(seed)
+            result = grover_search_known(spec, v_count, rng)
+            np.testing.assert_allclose(rng.p, np.full(total, 1 / total), rtol=1e-15, atol=0)
+            assert result == dense_search_known(spec, v_count, seed)[0]
+            assert result[1] == bool(marked_fraction)
+
+    def test_single_target_k22(self):
+        spec = spec_for(repeated_unique_instance(11))  # k = 22, V = 1
+        assert spec.free_count == 22
+        measured, marked, iterations = grover_search_known(spec, 1, 0)
+        assert iterations == 1608
+        assert marked and spec.solution_mask[measured]
 
 
 class TestSearchUnknown:
