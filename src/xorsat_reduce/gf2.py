@@ -233,73 +233,61 @@ def inverse(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StandardForm:
-    """Permuted affine parameterization of a kernel's solution set.
+    """Affine parameterization of a kernel's solution set by k free coordinates.
 
-    After reordering coordinates by `perm`, an assignment splits into a
-    free block of length k (equal to the parameter vector) and a
-    dependent block determined linearly from it:
+    Parameter v_i sets coordinate free[i]; every other coordinate
+    follows from them. Rows and the point are packed like the rest of
+    this module (bit c holds coordinate c):
 
-        x_permuted[:k] = v
-        x_permuted[k:] = h @ v  XOR  offset[k:]     (mod 2)
+        rows[i]  the kernel vector with bit free[i] and no other free bit
+        point    the point of the space that is 0 on every free coordinate
 
-    `perm[i]` is the original coordinate stored at permuted position i.
-    `offset` is a full-length permuted-order vector whose first k
-    entries are zero; its tail is the dependent-block offset.
+    The assignment of v is `point` XOR every rows[i] with v_i = 1, so a
+    dependent coordinate c equals point's bit c XOR the parity of the
+    v_i whose rows[i] hold bit c.
     """
 
-    perm: np.ndarray  # (n,) int64, a bijection on range(n)
-    h: np.ndarray  # (n - k, k) uint8
-    offset: np.ndarray  # (n,) uint8, zero on the first k entries
+    free: tuple[int, ...]
+    rows: tuple[int, ...]
+    point: int
+    n: int
 
     @property
     def free_count(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def dependent_offset(self) -> np.ndarray:
-        return self.offset[self.free_count:]
+        return len(self.free)
 
 
-def standard_form(kernel, offset, selection=None) -> StandardForm:
+def reduced_standard_form(free, rows, point: int, n: int) -> StandardForm:
+    """The standard form on rows already reduced on `free`, through any `point` of the space.
+
+    Row i must hold bit free[i] and no other bit of `free`; XORing it
+    into the point wherever the point has bit free[i] leaves the one
+    point of the space that is 0 on the whole block.
+    """
+    for row, c in zip(rows, free):
+        if point >> c & 1:
+            point ^= row
+    return StandardForm(free=tuple(free), rows=tuple(rows), point=point, n=n)
+
+
+def standard_form(kernel, offset) -> StandardForm:
     """Standard-form decomposition of an affine space given by basis + offset.
 
     `kernel` holds k independent rows of length n; `offset` is any point
-    of the affine set {v @ kernel XOR offset}. The free block is chosen
-    as the lexicographically earliest set of k coordinates on which the
-    basis has full rank, or the caller's `selection` (validated, order
-    preserved). The parameterizations range over exactly the same 2^k
-    points.
+    of the affine set {v @ kernel XOR offset}. The free block is the
+    lexicographically earliest set of k coordinates on which the basis
+    has full rank, in increasing order. The parameterization ranges over
+    exactly the same 2^k points.
 
-    Raises ValueError when the kernel rows are dependent or a provided
-    selection is not full-rank.
+    Raises ValueError when the kernel rows are dependent.
     """
     basis = np.atleast_2d(as_bin_matrix(kernel, cols=len(offset)))
     point = as_bin_vec(offset)
     k, n = basis.shape
     if point.size != n:
         raise ValueError(f"offset length {point.size} != kernel width {n}")
-    *rows, reduced_point = _pack(np.vstack([basis, point]))
-    if selection is None:
-        sel = _gauss_jordan(rows, range(n))
-        if len(sel) != k:
-            raise ValueError("kernel rows are linearly dependent")
-    else:
-        sel = [int(c) for c in selection]
-        if len(sel) != k or len(set(sel)) != k or not all(0 <= c < n for c in sel):
-            raise ValueError("selection must be k distinct coordinate indices")
-        if len(_gauss_jordan(rows, sel)) != k:
-            raise ValueError("matrix is singular over GF(2)")
-    # Row i of the reduced basis is U^-1 @ basis with U = basis[:, sel]:
-    # a 1 at sel[i], 0 at every other selected column. Reducing the
-    # offset by it clears the selected columns, leaving the dependent
-    # offset on the rest.
-    for row, c in zip(rows, sel):
-        if reduced_point >> c & 1:
-            reduced_point ^= row
-    chosen = set(sel)
-    rest = [c for c in range(n) if c not in chosen]
-    bits = _unpack([*rows, reduced_point], n)[:, rest]
-    full_offset = np.zeros(n, dtype=np.uint8)
-    full_offset[k:] = bits[k]
-    return StandardForm(perm=np.array(sel + rest, dtype=np.int64), h=bits[:k].T.copy(),
-                        offset=full_offset)
+    *rows, packed_point = _pack(np.vstack([basis, point]))
+    free = _gauss_jordan(rows, range(n))
+    if len(free) != k:
+        raise ValueError("kernel rows are linearly dependent")
+    return reduced_standard_form(free, rows, packed_point, n)

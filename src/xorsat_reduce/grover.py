@@ -178,20 +178,15 @@ def _round_hits_marked(theta: float, iterations: int, rng) -> bool:
     return bool(rng.random() < p_marked)
 
 
-def grover_search_unknown(
-    spec: OracleSpec,
-    rng: int | np.random.Generator,
-    growth: float = SCHEDULE_GROWTH,
-    certify_repeats: int = CERTIFY_REPEATS,
-) -> SolveOutcome:
+def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> SolveOutcome:
     """Exponential-schedule search for an unknown number of solutions.
 
     Each round runs a random number of iterations (uniform below a cap
-    that grows by `growth` up to sqrt(2^k)) from the uniform state and
-    measures once; measured candidates are verified classically. One
+    that grows by SCHEDULE_GROWTH up to sqrt(2^k)) from the uniform state
+    and measures once; measured candidates are verified classically. One
     index (spec.artificial_marked, defaulting to 0) is always marked, so
     when no solution exists the search still terminates: after
-    `certify_repeats` rounds that located only the artificial index, the
+    CERTIFY_REPEATS rounds that located only the artificial index, the
     instance is declared Unsat. Queries counts oracle applications.
     """
     k = spec.free_count
@@ -215,9 +210,9 @@ def grover_search_unknown(
                 assignment = expand_index(spec.reduction, measured)
                 return SolveOutcome(True, assignment, queries)
             artificial_hits += 1
-            if artificial_hits >= certify_repeats:
+            if artificial_hits >= CERTIFY_REPEATS:
                 return SolveOutcome(False, None, queries)
-        cap = min(growth * cap, max_cap)
+        cap = min(SCHEDULE_GROWTH * cap, max_cap)
 
 
 def query_cost_decision(n: int, m_prime: int) -> float:

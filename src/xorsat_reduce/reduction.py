@@ -87,7 +87,7 @@ def reduce_instance(instance: Instance):
 
     One elimination of the packed rows [A | b | I] gives the rank, the
     particular solution, the witness and the RREF kernel. On success the
-    affine space {expand(r, v)} has exactly 2^(n - m_prime) points and
+    affine space {expand_index(r, i)} has exactly 2^(n - m_prime) points and
     contains every satisfying assignment of the instance.
     """
     rows = []
@@ -125,14 +125,6 @@ def expand_index(reduction: Reduction, index: int) -> np.ndarray:
         if index >> (k - 1 - j) & 1:
             out ^= row
     return out
-
-
-def expand(reduction: Reduction, v) -> np.ndarray:
-    """Assignment v1*xi1 XOR ... XOR vk*xik XOR offset for a parameter vector v."""
-    vec = gf2.as_bin_vec(v)
-    if vec.size != reduction.free_count:
-        raise ValueError(f"parameter length {vec.size} != k = {reduction.free_count}")
-    return expand_index(reduction, sum(int(bit) << (vec.size - 1 - j) for j, bit in enumerate(vec)))
 
 
 def _position_planes(width: int) -> np.ndarray:
@@ -227,16 +219,16 @@ def scan(instance: Instance, reduction: Reduction):
 
 
 def expand_standard(reduction: Reduction, v_prime) -> np.ndarray:
-    """Assignment whose permuted free block equals v_prime (standard form)."""
+    """Assignment whose free coordinates standard.free take the values v_prime (standard form)."""
     vec = gf2.as_bin_vec(v_prime)
     sf = reduction.standard
     if vec.size != sf.free_count:
         raise ValueError(f"parameter length {vec.size} != k = {sf.free_count}")
-    dependent = (sf.h.astype(np.int64) @ vec.astype(np.int64) % 2).astype(np.uint8)
-    dependent ^= sf.dependent_offset
-    out = np.zeros(reduction.n, dtype=np.uint8)
-    out[sf.perm] = np.concatenate([vec, dependent])
-    return out
+    x = sf.point
+    for row, bit in zip(sf.rows, vec):
+        if bit:
+            x ^= row
+    return gf2._unpack([x], sf.n)[0]
 
 
 def kernel_excess(instance: Instance, reduction: Reduction) -> int:

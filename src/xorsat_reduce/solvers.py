@@ -80,26 +80,29 @@ class _BacktrackRun:
         self.find_first = find_first
         sf = reduction.standard
         self.k = k = sf.free_count
-        perm = [int(v) for v in sf.perm]
-        self.n = len(perm)
+        self.n = sf.n
         self.slack: list[int] = []
         # lowered[var][value]: the counters that fixing var to value lowers
-        self.lowered: list[tuple[list[int], list[int]]] = [([], []) for _ in perm]
+        self.lowered: list[tuple[list[int], list[int]]] = [([], []) for _ in range(sf.n)]
         for a, c in enumerate(instance.clauses):
             self.slack += [c.q, c.p - c.q] if c.q <= c.p else [0, 0]
             for lit in c.literals:
                 self.lowered[lit.var][1 - lit.negated].append(2 * a)
                 self.lowered[lit.var][lit.negated].append(2 * a + 1)
         # steps[d]: the (var, offset, support mask) determined at depth d; the
-        # value is offset XOR the parity of the fixed parameter bits in the mask
+        # value is offset XOR the parity of the fixed parameter bits in the mask.
+        # A dependent's mask has bit i where rows[i] holds it, so it is ready
+        # once the deepest of those parameters is fixed.
         self.steps: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        for d in range(k):
-            self.steps[d + 1].append((perm[d], 0, 1 << d))
-        for j, row in enumerate(sf.h):
-            support = [int(c) for c in np.flatnonzero(row)]
-            mask = sum(1 << c for c in support)
-            ready = support[-1] + 1 if support else 0
-            self.steps[ready].append((perm[k + j], int(sf.dependent_offset[j]), mask))
+        supports = [0] * sf.n
+        for d, (var, row) in enumerate(zip(sf.free, sf.rows)):
+            self.steps[d + 1].append((var, 0, 1 << d))
+            for c in _set_bits(row):
+                supports[c] |= 1 << d
+        free = set(sf.free)
+        for var, mask in enumerate(supports):
+            if var not in free:
+                self.steps[mask.bit_length()].append((var, sf.point >> var & 1, mask))
         self.nodes_per_depth = [0] * (k + 1)
         self.solution_count = 0
         self.first_solution: np.ndarray | None = None
@@ -211,11 +214,6 @@ def _set_bits(x: int):
         x ^= low
 
 
-def permutation_score(instance: Instance, reduction: Reduction) -> int:
-    """Number of clauses containing at least one free-block variable."""
-    return _coverage(_clause_masks(instance), reduction.standard.perm[: reduction.free_count])
-
-
 def optimize_permutation(
     instance: Instance,
     reduction: Reduction,
@@ -235,33 +233,32 @@ def optimize_permutation(
     deterministic per seed.
 
     Every block is held as the packed kernel rows reduced on it (row i
-    has bit sel[i] and no other selected bit), so a swap is one pivot
-    and the only standard form built is the returned one.
+    has bit sel[i] and no other selected bit), starting from the input's
+    standard-form rows, so a swap is one pivot and the returned standard
+    form is the chosen rows with the input's point reduced on them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k, n = reduction.kernel.shape
+    sf = reduction.standard
+    k, n = sf.free_count, sf.n
     if k == 0 or k == n:
         return reduction
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     masks = _clause_masks(instance)
     clause_vars = [sum(1 << lit.var for lit in c.literals) for c in instance.clauses]
     at_least_degree = _at_least_degree(masks)
-    kernel_rows = gf2._pack(reduction.kernel)
-    input_sel = [int(v) for v in reduction.standard.perm[:k]]
-    input_rows = list(kernel_rows)
-    gf2._gauss_jordan(input_rows, input_sel)
+    input_sel = list(sf.free)
 
     # sorted block -> (score, {selected column: its reduced row})
     candidates = {
-        tuple(sorted(input_sel)): (_coverage(masks, input_sel), dict(zip(input_sel, input_rows)))
+        tuple(sorted(input_sel)): (_coverage(masks, input_sel), dict(zip(input_sel, sf.rows)))
     }
     for trial in range(trials):
+        rows = list(sf.rows)
         if trial == 0:
-            sel, rows = list(input_sel), list(input_rows)
+            sel = list(input_sel)
         else:
             # A random column order; its pivots are a uniform-ish random full-rank block.
-            rows = list(kernel_rows)
             sel = gf2._gauss_jordan(rows, rng.permutation(n).tolist())
         score = _climb(masks, clause_vars, at_least_degree, sel, rows)
         key = tuple(sorted(sel))
@@ -270,11 +267,12 @@ def optimize_permutation(
     best_score = max(score for score, _ in candidates.values())
     finalists = sorted(key for key, (score, _) in candidates.items() if score == best_score)
     chosen = min(finalists, key=lambda sel: _readiness_penalty(sel, candidates[sel][1]))
-    order = _readiness_order(chosen, candidates[chosen][1])
+    rows = candidates[chosen][1]
+    order = _readiness_order(chosen, rows)
     if order == input_sel:
         return reduction
     return reduction.with_standard(
-        gf2.standard_form(reduction.kernel, reduction.offset, selection=order)
+        gf2.reduced_standard_form(order, [rows[v] for v in order], sf.point, n)
     )
 
 

@@ -1,12 +1,14 @@
-"""Shared fixtures and the reference (non-library) instance evaluator and expansion."""
+"""Shared fixtures and the reference (non-library) evaluator, expansion and standard form."""
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from xorsat_reduce import gf2
 from xorsat_reduce.instances import Clause, Instance, Literal
 
 
@@ -26,6 +28,98 @@ def expand_rows(reduction, bits):
     """Reference expansion of a (B, k) block of parameter rows: bits @ kernel + offset over GF(2)."""
     product = np.asarray(bits, dtype=np.int64) @ reduction.kernel.astype(np.int64)
     return (product % 2).astype(np.uint8) ^ reduction.offset
+
+
+class DenseStandard(NamedTuple):
+    """A standard form as dense arrays: coordinates reordered by `perm`, free block first.
+
+    x[perm[:k]] = v and x[perm[k:]] = h @ v XOR offset[k:] (mod 2); `perm`
+    is int64, `h` is (n - k, k) uint8 and `offset` is (n,) uint8, zero on
+    its first k entries.
+    """
+
+    perm: np.ndarray
+    h: np.ndarray
+    offset: np.ndarray
+
+
+def dense_eliminate(mat, n_pivot_cols):
+    """In-place RREF restricted to pivots in the first `n_pivot_cols` columns."""
+    n_rows = mat.shape[0]
+    pivots = []
+    row = 0
+    for col in range(n_pivot_cols):
+        if row == n_rows:
+            break
+        hits = np.nonzero(mat[row:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = row + hits[0]
+        if pivot != row:
+            mat[[row, pivot]] = mat[[pivot, row]]
+        mask = mat[:, col] == 1
+        mask[row] = False
+        if mask.any():
+            mat[mask] ^= mat[row]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def dense_standard_form(kernel, offset, selection=None) -> DenseStandard:
+    """Dense reference standard form of {v @ kernel XOR offset} on the block `selection`.
+
+    Without a selection the block is the kernel's RREF pivots. With one,
+    the free block is taken in the given order, and a block on which the
+    kernel is not full-rank raises ValueError.
+    """
+    basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
+    point = gf2.as_bin_vec(offset)
+    k, n = basis.shape
+    if selection is None:
+        sel = dense_eliminate(basis.copy(), n)
+        if len(sel) != k:
+            raise ValueError("kernel rows are linearly dependent")
+    else:
+        sel = [int(c) for c in selection]
+    rest = [c for c in range(n) if c not in set(sel)]
+    aug = np.concatenate([basis[:, sel], np.eye(k, dtype=np.uint8)], axis=1)
+    if len(dense_eliminate(aug, k)) != k:
+        raise ValueError("matrix is singular over GF(2)")
+    u_inv = aug[:, k:]
+    w = (u_inv.astype(np.int64) @ basis[:, rest].astype(np.int64) % 2).astype(np.uint8)
+    tail = (point[sel].astype(np.int64) @ w.astype(np.int64) % 2).astype(np.uint8)
+    tail ^= point[rest]
+    full_offset = np.zeros(n, dtype=np.uint8)
+    full_offset[k:] = tail
+    return DenseStandard(np.array(sel + rest, dtype=np.int64), w.T.copy(), full_offset)
+
+
+def dense_standard(sf) -> DenseStandard:
+    """The dense arrays of a packed `gf2.StandardForm`, dependents in increasing order."""
+    k = sf.free_count
+    free = set(sf.free)
+    rest = [c for c in range(sf.n) if c not in free]
+    bits = np.array([[row >> c & 1 for c in rest] for row in sf.rows], dtype=np.uint8)
+    offset = np.zeros(sf.n, dtype=np.uint8)
+    offset[k:] = [sf.point >> c & 1 for c in rest]
+    h = bits.reshape(k, len(rest)).T.copy()
+    return DenseStandard(np.array([*sf.free, *rest], dtype=np.int64), h, offset)
+
+
+def standard_form_on(kernel, offset, selection):
+    """The packed standard form on the block `selection`, in that order, or None if not full-rank.
+
+    The rows are reduced on the block as `optimize_permutation` holds
+    them, so a selection reaches the library only through its one
+    constructor for already-reduced rows.
+    """
+    basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
+    *rows, point = gf2._pack(np.vstack([basis, gf2.as_bin_vec(offset)]))
+    free = gf2._gauss_jordan(rows, [int(c) for c in selection])
+    if free != list(selection) or len(free) != len(rows):
+        return None
+    return gf2.reduced_standard_form(free, rows, point, basis.shape[1])
 
 
 def reference_solutions(instance):

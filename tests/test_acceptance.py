@@ -51,6 +51,8 @@ from xorsat_reduce.reduction import Reduction, XorInfeasible, expand_standard, r
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep
 
+from conftest import dense_standard
+
 GROVER_SEEDS_PER_INSTANCE = 50
 SWEEP_THREADS = 2
 
@@ -270,9 +272,9 @@ def test_criterion_07_hc_oracle_agreement():
 
 def _reference_tree_walk(inst, reduction):
     """Independent decision-tree walk: (visited nodes, pruned (depth, prefix) list)."""
-    sf = reduction.standard
-    k = sf.free_count
-    supports = [np.nonzero(row)[0] for row in sf.h]
+    perm, h, offset = dense_standard(reduction.standard)
+    k = reduction.standard.free_count
+    supports = [np.nonzero(row)[0] for row in h]
     ready = [int(s.max()) + 1 if s.size else 0 for s in supports]
     partial = np.full(inst.n, INDETERMINATE, dtype=np.int8)
     vbits = [0] * k
@@ -282,15 +284,15 @@ def _reference_tree_walk(inst, reduction):
     def determine(depth):
         out = []
         if depth > 0:
-            var = int(sf.perm[depth - 1])
+            var = int(perm[depth - 1])
             partial[var] = vbits[depth - 1]
             out.append(var)
         for j, rd in enumerate(ready):
             if rd == depth:
-                value = int(sf.dependent_offset[j])
+                value = int(offset[k + j])
                 for c in supports[j]:
                     value ^= vbits[c]
-                var = int(sf.perm[k + j])
+                var = int(perm[k + j])
                 partial[var] = value
                 out.append(var)
         return out

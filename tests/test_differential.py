@@ -39,7 +39,7 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import expand_rows, reference_satisfies
+from conftest import dense_standard, expand_rows, reference_satisfies
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -169,9 +169,9 @@ def reference_tree(inst, reduction, find_first: bool):
     variable is violated. Returns (solution count, nodes per depth, first
     solution or None); with find_first the walk stops at the first leaf.
     """
-    sf = reduction.standard
-    k = sf.free_count
-    supports = [np.flatnonzero(row) for row in sf.h]
+    perm, h, offset = dense_standard(reduction.standard)
+    k = reduction.standard.free_count
+    supports = [np.flatnonzero(row) for row in h]
     deps_at = [[] for _ in range(k + 1)]
     for j, support in enumerate(supports):
         deps_at[int(support.max()) + 1 if support.size else 0].append(j)
@@ -188,10 +188,10 @@ def reference_tree(inst, reduction, find_first: bool):
         nodes[depth] += 1
         newly = []
         if depth > 0:
-            newly.append((int(sf.perm[depth - 1]), vbits[depth - 1]))
+            newly.append((int(perm[depth - 1]), vbits[depth - 1]))
         for j in deps_at[depth]:
-            value = (int(sf.dependent_offset[j]) + sum(vbits[c] for c in supports[j])) % 2
-            newly.append((int(sf.perm[k + j]), value))
+            value = (int(offset[k + j]) + sum(vbits[c] for c in supports[j])) % 2
+            newly.append((int(perm[k + j]), value))
         for var, value in newly:
             partial[var] = value
         done = False

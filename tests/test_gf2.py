@@ -16,6 +16,8 @@ from xorsat_reduce.hamcycle import Graph, hc_to_occupation
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
 
+from conftest import dense_eliminate, dense_standard, dense_standard_form, standard_form_on
+
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
 
@@ -214,14 +216,14 @@ def affine_set(kernel, offset):
 
 def standard_set(sf):
     """All points of a StandardForm parameterization, as a set of bit tuples."""
+    perm, h, offset = dense_standard(sf)
     k = sf.free_count
-    n = len(sf.perm)
     out = set()
     for bits in itertools.product((0, 1), repeat=k):
         v = np.array(bits, dtype=np.uint8)
-        permuted = np.concatenate([v, (sf.h.astype(int) @ v % 2).astype(np.uint8) ^ sf.dependent_offset])
-        x = np.zeros(n, dtype=np.uint8)
-        x[sf.perm] = permuted
+        permuted = np.concatenate([v, (h.astype(int) @ v % 2).astype(np.uint8) ^ offset[k:]])
+        x = np.zeros(sf.n, dtype=np.uint8)
+        x[perm] = permuted
         out.add(tuple(x))
     return out
 
@@ -229,15 +231,13 @@ def standard_set(sf):
 class TestStandardForm:
     def test_single_repetition_vector(self):
         sf = gf2.standard_form([[1, 1, 1]], [0, 0, 0])
-        assert list(sf.perm) == [0, 1, 2]
-        assert sf.h.tolist() == [[1], [1]]
+        assert (sf.free, sf.rows, sf.point, sf.n) == ((0,), (0b111,), 0, 3)
         assert standard_set(sf) == {(0, 0, 0), (1, 1, 1)}
 
     def test_already_standard(self):
         kernel = np.concatenate([np.eye(3, dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)], axis=1)
         sf = gf2.standard_form(kernel, np.zeros(5, dtype=np.uint8))
-        assert not np.any(sf.h)
-        assert not np.any(sf.offset)
+        assert (sf.free, sf.rows, sf.point) == ((0, 1, 2), (1, 2, 4), 0)
 
     def test_identity_upper_block_after_transform(self):
         rng = np.random.default_rng(71)
@@ -248,12 +248,12 @@ class TestStandardForm:
             if kernel.shape[0] == 0:
                 continue
             offset = rng.integers(0, 2, size=n, dtype=np.uint8)
-            sf = gf2.standard_form(kernel, offset)
+            perm, h, _ = dense_standard(gf2.standard_form(kernel, offset))
             k = kernel.shape[0]
-            u_inv = gf2.inverse(kernel[:, sf.perm[:k]])
-            transformed = (u_inv.astype(int) @ kernel.astype(int) % 2)[:, sf.perm]
+            u_inv = gf2.inverse(kernel[:, perm[:k]])
+            transformed = (u_inv.astype(int) @ kernel.astype(int) % 2)[:, perm]
             assert np.array_equal(transformed[:, :k], np.eye(k, dtype=int))
-            assert np.array_equal(transformed[:, k:].T, sf.h.astype(int))
+            assert np.array_equal(transformed[:, k:].T, h.astype(int))
 
     def test_solution_set_preserved(self):
         rng = np.random.default_rng(83)
@@ -270,7 +270,9 @@ class TestStandardForm:
         kernel = gf2.kernel_basis(random_bin_matrix(rng, 3, 8))
         offset = rng.integers(0, 2, size=8, dtype=np.uint8)
         sf = gf2.standard_form(kernel, offset)
-        assert not np.any(sf.offset[: sf.free_count])
+        free_bits = sum(1 << c for c in sf.free)
+        assert not sf.point & free_bits
+        assert [row & free_bits for row in sf.rows] == [1 << c for c in sf.free]
 
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -280,41 +282,13 @@ class TestStandardForm:
         kernel = np.array([[1, 1, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
         offset = np.array([0, 1, 0, 1], dtype=np.uint8)
         default = gf2.standard_form(kernel, offset)
-        alt = gf2.standard_form(kernel, offset, selection=[2, 3])
-        assert list(alt.perm[:2]) == [2, 3]
+        alt = standard_form_on(kernel, offset, [3, 2])
+        assert alt.free == (3, 2)
         assert standard_set(alt) == standard_set(default)
-
-    def test_rank_deficient_selection_rejected(self):
-        kernel = np.array([[1, 0, 1, 0], [0, 1, 1, 0]], dtype=np.uint8)
-        with pytest.raises(ValueError):
-            gf2.standard_form(kernel, np.zeros(4, dtype=np.uint8), selection=[2, 3])
 
 
 # Property tests, and a differential test against the dense elimination
 # that the packed-row core replaced.
-
-
-def dense_eliminate(mat, n_pivot_cols):
-    """In-place RREF restricted to pivots in the first `n_pivot_cols` columns."""
-    n_rows = mat.shape[0]
-    pivots = []
-    row = 0
-    for col in range(n_pivot_cols):
-        if row == n_rows:
-            break
-        hits = np.nonzero(mat[row:, col])[0]
-        if hits.size == 0:
-            continue
-        pivot = row + hits[0]
-        if pivot != row:
-            mat[[row, pivot]] = mat[[pivot, row]]
-        mask = mat[:, col] == 1
-        mask[row] = False
-        if mask.any():
-            mat[mask] ^= mat[row]
-        pivots.append(col)
-        row += 1
-    return pivots
 
 
 class Dense:
@@ -377,28 +351,6 @@ class Dense:
         return aug[:, k:].copy()
 
     @staticmethod
-    def standard_form(kernel, offset, selection=None):
-        basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
-        point = gf2.as_bin_vec(offset)
-        k, n = basis.shape
-        if selection is None:
-            _, pivots = Dense.row_reduce(basis)
-            if len(pivots) != k:
-                raise ValueError("kernel rows are linearly dependent")
-            sel = pivots
-        else:
-            sel = [int(c) for c in selection]
-        rest = [c for c in range(n) if c not in set(sel)]
-        u_inv = Dense.inverse(basis[:, sel])
-        w = (u_inv.astype(np.int64) @ basis[:, rest].astype(np.int64) % 2).astype(np.uint8)
-        tail = (point[sel].astype(np.int64) @ w.astype(np.int64) % 2).astype(np.uint8)
-        tail ^= point[rest]
-        full_offset = np.zeros(n, dtype=np.uint8)
-        full_offset[k:] = tail
-        return gf2.StandardForm(perm=np.array(sel + rest, dtype=np.int64), h=w.T.copy(),
-                                offset=full_offset)
-
-    @staticmethod
     def reduce_instance(instance):
         system = build_linear_system(instance)
         offset = Dense.solve_particular(system.matrix, system.rhs)
@@ -406,7 +358,7 @@ class Dense:
             return XorInfeasible(tuple(Dense.inconsistency_witness(system.matrix, system.rhs)),
                                  Dense.rank(system.matrix))
         kernel = Dense.kernel_basis(system.matrix)
-        return kernel, offset, instance.n - kernel.shape[0], Dense.standard_form(kernel, offset)
+        return kernel, offset, instance.n - kernel.shape[0], dense_standard_form(kernel, offset)
 
 
 def assert_same_array(got, want):
@@ -415,8 +367,8 @@ def assert_same_array(got, want):
 
 
 def assert_same_standard_form(got, want):
-    for name in ("perm", "h", "offset"):
-        assert_same_array(getattr(got, name), getattr(want, name))
+    for got_array, want_array in zip(dense_standard(got), want):
+        assert_same_array(got_array, want_array)
 
 
 def outcome_or_error(fn, *args):
@@ -527,9 +479,9 @@ def test_standard_forms_span_the_affine_space(data, space):
     points = affine_set(kernel, offset) if kernel.shape[0] else {tuple(offset)}
     assert standard_set(gf2.standard_form(kernel, offset)) == points
     selection = data.draw(selections(kernel))
-    sf, error = outcome_or_error(gf2.standard_form, kernel, offset, selection)
-    if error is None:
-        assert list(sf.perm[: kernel.shape[0]]) == list(selection)
+    sf = standard_form_on(kernel, offset, selection)
+    if sf is not None:
+        assert sf.free == tuple(selection)
         assert standard_set(sf) == points
 
 
@@ -561,24 +513,23 @@ def test_packed_core_matches_dense_reference(system):
 def test_standard_form_matches_dense_reference(data, space):
     kernel, offset = space
     got, error = outcome_or_error(gf2.standard_form, kernel, offset)
-    want, want_error = outcome_or_error(Dense.standard_form, kernel, offset)
+    want, want_error = outcome_or_error(dense_standard_form, kernel, offset)
     assert error == want_error
     if got is not None:
         assert_same_standard_form(got, want)
     selection = data.draw(selections(kernel))
-    got, error = outcome_or_error(gf2.standard_form, kernel, offset, selection)
-    want, want_error = outcome_or_error(Dense.standard_form, kernel, offset, selection)
-    assert error == want_error
+    got = standard_form_on(kernel, offset, selection)
+    want, want_error = outcome_or_error(dense_standard_form, kernel, offset, selection)
+    assert (got is None) == (want_error is not None)
     if got is not None:
         assert_same_standard_form(got, want)
 
 
 def test_standard_form_rejects_dependent_kernels_like_the_reference():
     kernel = np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8)
-    for selection in (None, [0, 2], [2, 0]):
-        _, error = outcome_or_error(gf2.standard_form, kernel, np.zeros(3, dtype=np.uint8), selection)
-        _, want = outcome_or_error(Dense.standard_form, kernel, np.zeros(3, dtype=np.uint8), selection)
-        assert error is not None and error == want
+    _, error = outcome_or_error(gf2.standard_form, kernel, np.zeros(3, dtype=np.uint8))
+    _, want = outcome_or_error(dense_standard_form, kernel, np.zeros(3, dtype=np.uint8))
+    assert error is not None and error == want
 
 
 @settings(max_examples=400, **SETTINGS)

@@ -21,7 +21,6 @@ from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
     build_linear_system,
-    expand,
     expand_index,
     expand_standard,
     kernel_excess,
@@ -69,7 +68,7 @@ class TestReduce:
         assert r.free_count == 2
         assert r.m_prime == 3
         system = build_linear_system(chain_instance)
-        expansions = {tuple(expand(r, bits)) for bits in itertools.product((0, 1), repeat=2)}
+        expansions = {tuple(expand_index(r, index)) for index in range(4)}
         assert len(expansions) == 4
         assert expansions == xor_solutions(system)
 
@@ -120,22 +119,23 @@ class TestReduce:
 class TestExpand:
     def test_zero_parameter_gives_offset(self, chain_instance):
         r = reduce_instance(chain_instance)
-        assert np.array_equal(expand(r, [0, 0]), r.offset)
+        assert np.array_equal(expand_index(r, 0), r.offset)
 
     def test_unit_vectors(self, chain_instance):
         r = reduce_instance(chain_instance)
-        assert np.array_equal(expand(r, [1, 0]), r.kernel[0] ^ r.offset)
-        assert np.array_equal(expand(r, [0, 1]), r.kernel[1] ^ r.offset)
+        assert np.array_equal(expand_index(r, 0b10), r.kernel[0] ^ r.offset)
+        assert np.array_equal(expand_index(r, 0b01), r.kernel[1] ^ r.offset)
 
     def test_length_mismatch_rejected(self, chain_instance):
         r = reduce_instance(chain_instance)
         with pytest.raises(ValueError):
-            expand(r, [0, 1, 1])
+            expand_standard(r, [0, 1, 1])
 
     def test_index_matches_vector(self, chain_instance):
         r = reduce_instance(chain_instance)
-        for index, v in enumerate(bit_block(0, 4, 2)):
-            assert np.array_equal(expand_index(r, index), expand(r, v))
+        want = expand_rows(r, bit_block(0, 4, 2))
+        for index in range(4):
+            assert np.array_equal(expand_index(r, index), want[index])
         for index in (-1, 4):
             with pytest.raises(ValueError):
                 expand_index(r, index)
@@ -151,7 +151,7 @@ class TestExpandStandard:
 
     def test_same_set_as_plain_expansion(self, chain_instance):
         r = reduce_instance(chain_instance)
-        plain = {tuple(expand(r, bits)) for bits in itertools.product((0, 1), repeat=2)}
+        plain = {tuple(expand_index(r, index)) for index in range(4)}
         standard = {tuple(expand_standard(r, bits)) for bits in itertools.product((0, 1), repeat=2)}
         assert plain == standard
 
@@ -166,7 +166,7 @@ class TestExpandStandard:
         sf = r.standard
         for bits in itertools.product((0, 1), repeat=2):
             x = expand_standard(r, bits)
-            assert tuple(x[sf.perm[:2]]) == bits
+            assert tuple(x[list(sf.free)]) == bits
 
 
 class TestKernelExcess:

@@ -22,7 +22,7 @@ from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
     build_linear_system,
-    expand,
+    expand_index,
     expand_standard,
     reduce_instance,
 )
@@ -32,11 +32,16 @@ from xorsat_reduce.solvers import (
     count_enumerate,
     gamma_estimate,
     optimize_permutation,
-    permutation_score,
     solve_enumerate,
 )
 
-from conftest import reference_solutions
+from conftest import expand_rows, reference_solutions
+
+
+def free_block_coverage(instance, reduction):
+    """Number of clauses holding at least one free-block variable (the climb's score)."""
+    free = set(reduction.standard.free)
+    return sum(1 for c in instance.clauses if any(lit.var in free for lit in c.literals))
 
 
 def xor_infeasible_instance():
@@ -70,8 +75,8 @@ class TestSolveEnumerate:
     def test_chain_first_in_parameter_order(self, chain_instance):
         r = reduce_instance(chain_instance)
         outcome = solve_enumerate(chain_instance, r)
-        for index, bits in enumerate(itertools.product((0, 1), repeat=r.free_count)):
-            x = expand(r, bits)
+        for index in range(1 << r.free_count):
+            x = expand_index(r, index)
             if eval_instance(chain_instance, x):
                 assert np.array_equal(outcome.assignment, x)
                 assert outcome.queries == index + 1
@@ -191,9 +196,9 @@ class TestBacktrack:
     def test_deep_chain_needs_no_recursion(self):
         """k = 1500 disjoint 1-in-2 clauses: one node per depth, under the default recursion limit.
 
-        The reduction is built by hand (kernel rows e_2i + e_2i+1, offset the
-        odd coordinates, h the identity), because dense elimination at n = 3000
-        takes seconds.
+        The reduction is built by hand (kernel rows e_2i + e_2i+1, free block
+        the even coordinates, offset and point the odd ones), because dense
+        elimination at n = 3000 takes seconds.
         """
         k = 1500
         n = 2 * k
@@ -202,9 +207,10 @@ class TestBacktrack:
         kernel[np.arange(k), 0::2] = kernel[np.arange(k), 1::2] = np.eye(k, dtype=np.uint8)
         offset = np.tile(np.array([0, 1], dtype=np.uint8), k)
         standard = gf2.StandardForm(
-            perm=np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)]),
-            h=np.eye(k, dtype=np.uint8),
-            offset=np.concatenate([np.zeros(k, dtype=np.uint8), np.ones(k, dtype=np.uint8)]),
+            free=tuple(range(0, n, 2)),
+            rows=tuple(3 << 2 * i for i in range(k)),
+            point=sum(1 << 2 * i + 1 for i in range(k)),
+            n=n,
         )
         system = build_linear_system(inst)
         assert np.array_equal(gf2.matvec(system.matrix, offset), system.rhs)
@@ -212,7 +218,7 @@ class TestBacktrack:
         assert not ((system.matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
         r = Reduction(kernel=kernel, offset=offset, m_prime=n - k, standard=standard)
         v = np.arange(k) % 2
-        assert np.array_equal(expand_standard(r, v), expand(r, v))
+        assert np.array_equal(expand_standard(r, v), expand_rows(r, v[None])[0])
 
         assert sys.getrecursionlimit() < k
         outcome, stats = backtrack_solve(inst, r)
@@ -229,8 +235,8 @@ class TestOptimizePermutation:
         r = reduce_instance(chain_instance)
         a = optimize_permutation(chain_instance, r, trials=5, seed=3)
         b = optimize_permutation(chain_instance, r, trials=5, seed=3)
-        assert np.array_equal(a.standard.perm, b.standard.perm)
-        assert np.array_equal(a.standard.h, b.standard.h)
+        assert (a.standard.free, a.standard.rows, a.standard.point) == (
+            b.standard.free, b.standard.rows, b.standard.point)
 
     def test_score_never_decreases(self):
         rng = np.random.default_rng(73)
@@ -240,12 +246,12 @@ class TestOptimizePermutation:
             if isinstance(r, XorInfeasible):
                 continue
             better = optimize_permutation(inst, r, trials=10, seed=int(rng.integers(1 << 30)))
-            assert permutation_score(inst, better) >= permutation_score(inst, r)
+            assert free_block_coverage(inst, better) >= free_block_coverage(inst, r)
 
     def test_score_bounded_by_clause_count(self, chain_instance):
         r = reduce_instance(chain_instance)
         better = optimize_permutation(chain_instance, r, trials=3, seed=0)
-        assert permutation_score(chain_instance, better) <= chain_instance.m
+        assert free_block_coverage(chain_instance, better) <= chain_instance.m
 
     def test_solution_set_invariant(self):
         rng = np.random.default_rng(79)
