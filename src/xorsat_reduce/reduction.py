@@ -6,7 +6,8 @@ in the affine space of the resulting GF(2) system. The reduction packages
 a kernel basis, a particular solution and the standard-form decomposition
 that backtracking uses; an inconsistent system yields a certified
 infeasibility witness instead. `scan` walks the reduced space for every
-classical consumer.
+classical consumer; since its candidates all satisfy the parity system,
+it checks each exactly-q clause only against q + 2 and q - 1 true literals.
 """
 
 from __future__ import annotations
@@ -127,67 +128,22 @@ def expand_index(reduction: Reduction, index: int) -> np.ndarray:
     return out
 
 
-def _position_planes(width: int) -> np.ndarray:
-    """(width, words) uint64: plane b holds bit b of every position 0..2^width - 1.
+def _at_least(literals: np.ndarray, t: int) -> np.ndarray:
+    """Planes (M, words): at least t (1 <= t <= p) of the p literal planes (p, M, words) are set.
 
-    Position i is bit i % 64 of word i // 64; a block narrower than one
-    word leaves the word's upper bits as padding.
+    t = 1 is an OR and t = p an AND over the literals. Any other t keeps
+    bit-sliced levels "at least 1 .. t", updated once per literal.
     """
-    words = max(1, (1 << width) >> 6)
-    planes = np.empty((width, words), dtype=np.uint64)
-    planes[:6] = _WORD_PATTERNS[:width, None]
-    word_index = np.arange(words, dtype=np.uint64)
-    for b in range(6, width):
-        planes[b] = ((word_index >> np.uint64(b - 6)) & np.uint64(1)) * _ONES
-    return planes
-
-
-class _BitSlicedClauses:
-    """The clauses of an instance, evaluated on packed bit planes.
-
-    Clauses are grouped by arity p. Per group it keeps the variables
-    (M_p, p), the negations as words (M_p, p, 1) and q as words (bits,
-    M_p, 1), where word row b is all-ones where bit b of q is set; a q
-    above p can never be met, so it is clamped to p + 1. The counter and
-    carry buffers are allocated once and reused for every block.
-    """
-
-    def __init__(self, instance: Instance, words: int):
-        by_arity = defaultdict(list)
-        for c in instance.clauses:
-            by_arity[c.p].append(c)
-        self.groups = []
-        for p, clauses in sorted(by_arity.items()):
-            variables = np.array([[lit.var for lit in c.literals] for c in clauses], dtype=np.intp)
-            negated = np.array([[lit.negated for lit in c.literals] for c in clauses], dtype=np.uint64)
-            q = [min(c.q, p + 1) for c in clauses]
-            q_bits = np.array([[(v >> b) & 1 for v in q] for b in range(max(p, *q).bit_length())],
-                              dtype=np.uint64)
-            counter = np.empty((len(q_bits), len(clauses), words), dtype=np.uint64)
-            self.groups.append((variables, negated[:, :, None] * _ONES, q_bits[:, :, None] * _ONES,
-                                counter, np.empty_like(counter[0]), np.empty_like(counter[0])))
-
-    def satisfied(self, variables: np.ndarray) -> np.ndarray:
-        """AND over all clauses of [true-literal count == q], one bit per candidate.
-
-        `variables` holds one plane per variable. Each clause's count is a
-        ripple-carry counter over its literal planes, held as bit planes
-        (least significant first); a clause holds where no counter bit
-        differs from the bit of q.
-        """
-        satisfied = np.full(variables.shape[1], _ONES)
-        for clause_vars, negations, q_words, counter, carry, spare in self.groups:
-            counter.fill(0)
-            for t in range(clause_vars.shape[1]):
-                np.take(variables, clause_vars[:, t], axis=0, out=carry)
-                carry ^= negations[:, t]
-                for digit in counter:
-                    np.bitwise_and(digit, carry, out=spare)
-                    digit ^= carry
-                    carry, spare = spare, carry
-            counter ^= q_words
-            satisfied &= ~np.bitwise_or.reduce(counter, axis=(0, 1))
-        return satisfied
+    if t == 1:
+        return np.bitwise_or.reduce(literals, axis=0)
+    if t == len(literals):
+        return np.bitwise_and.reduce(literals, axis=0)
+    levels = np.zeros((t,) + literals.shape[1:], dtype=np.uint64)  # levels[j]: at least j + 1
+    for i, x in enumerate(literals):
+        for j in range(min(i, t - 1), 0, -1):
+            levels[j] |= levels[j - 1] & x
+        levels[0] |= x
+    return levels[-1]
 
 
 def scan(instance: Instance, reduction: Reduction):
@@ -198,23 +154,48 @@ def scan(instance: Instance, reduction: Reduction):
     Inside a block of 2^w candidates only the last w parameters vary, so
     each variable is one packed bit plane over the block: the fixed part
     of the block's expansion XOR the planes of the varying parameters
-    whose kernel rows contain it. Guarded to k <= 30.
+    whose kernel rows contain it. Every candidate solves the parity
+    system, so each clause's true-literal count already has q's parity,
+    and it equals q unless it reaches q + 2 or misses q - 1. A clause
+    with q > p is never met. Guarded to k <= 30.
     """
     k = reduction.free_count
     if k > SCAN_MAX_FREE:
         raise GuardExceeded("reduced-space dimension k", k, SCAN_MAX_FREE)
     width = min(k, _SCAN_BLOCK.bit_length() - 1)
-    planes = _position_planes(width)
-    varying = np.zeros((reduction.n, planes.shape[1]), dtype=np.uint64)
-    for b in range(width):
-        varying[reduction.kernel[k - 1 - b].astype(bool)] ^= planes[b]
-    clauses = _BitSlicedClauses(instance, planes.shape[1])
-    variables = np.empty_like(varying)
+    # Row b is all-ones on the variables that parameter b of the block flips.
+    flips = reduction.kernel[::-1][:width].astype(np.uint64) * _ONES
+    # Parameters b < 6 are bits of the position inside a word, b >= 6 bits of the word index.
+    planes = np.bitwise_xor.reduce(flips[:6] & _WORD_PATTERNS[:width, None], axis=0)[:, None]
+    for flip in flips[6:]:
+        planes = np.concatenate([planes, planes ^ flip[:, None]], axis=1)
+    words = planes.shape[1]
+
+    by_occupation = defaultdict(list)
+    for c in instance.clauses:
+        by_occupation[c.p, c.q].append(c)
+    groups = []
+    for (p, q), clauses in sorted(by_occupation.items()):
+        # Literal-major order, so the gathered planes reshape to (p, M, words).
+        variables = np.array([[lit.var for lit in c.literals] for c in clauses], dtype=np.intp).T.ravel()
+        negated = np.array([[lit.negated for lit in c.literals] for c in clauses], dtype=np.uint8).T.ravel()
+        groups.append((p, q, variables, negated))
+    initial = _ONES
+    if any(q > p for p, q in by_occupation):
+        initial, groups = np.uint64(0), []
+
     for start in range(0, 1 << k, 1 << width):
+        satisfied = np.full(words, initial)
         fixed = expand_index(reduction, start)
-        np.bitwise_xor(varying, fixed[:, None] * _ONES, out=variables)
-        plane = clauses.satisfied(variables)
-        bits = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        for p, q, variables, negated in groups:
+            literals = np.take(planes, variables, axis=0)
+            literals ^= (fixed[variables] ^ negated).astype(np.uint64)[:, None] * _ONES
+            literals = literals.reshape(p, -1, words)
+            if q + 2 <= p:
+                satisfied &= ~np.bitwise_or.reduce(_at_least(literals, q + 2), axis=0)
+            if q > 1:
+                satisfied &= np.bitwise_and.reduce(_at_least(literals, q - 1), axis=0)
+        bits = np.unpackbits(satisfied.astype("<u8", copy=False).view(np.uint8), bitorder="little")
         yield start, bits[: 1 << width].view(bool)
 
 

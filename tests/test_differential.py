@@ -3,10 +3,11 @@
 The instances mix occupation numbers per clause, include q > p clauses
 (structurally unsatisfiable) and negations, and cover n = 0 and M = 0;
 the locked generator produces none of these. The reduced-space scan
-packs 64 candidates per word and counts true literals in a bit-sliced
-counter, so its tests also reach arities up to 8 (counters of 3 and 4
-bits), k below 6 (a block narrower than one word) and n above 64, where
-brute force cannot run and the backtrackers are the reference. The
+packs 64 candidates per word and checks each clause with bit-sliced
+"at least t" levels, so its tests also reach arities up to 8 (levels
+beyond the plain OR and AND), k below 6 (a block narrower than one word)
+and n above 64, where brute force cannot run and the backtrackers are the
+reference. The
 backtrackers' decision trees are compared node for node with a recursive
 reference walk that re-evaluates every touched clause at each node.
 """

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsat_reduce.bits import bit_block
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, grover_search_known
-from xorsat_reduce.hamcycle import complete_graph, solve_hc
-from xorsat_reduce.instances import Instance, brute_force_solutions, clause, eval_instance
+from xorsat_reduce.hamcycle import complete_graph, hc_to_occupation, random_regular_graph, solve_hc
+from xorsat_reduce.instances import (
+    Clause,
+    Instance,
+    Literal,
+    brute_force_solutions,
+    clause,
+    eval_instance,
+    gen_locked_random,
+)
 from xorsat_reduce.reduction import expand_index, reduce_instance, scan
 from xorsat_reduce.solvers import count_enumerate, solve_enumerate
 
@@ -91,6 +103,83 @@ def test_occupation_beyond_int64_is_never_met():
     assert count_enumerate(inst, r) == 0
     assert solve_enumerate(inst, r).queries == 4
     assert not OracleSpec(reduction=r, instance=inst).solution_mask.any()
+
+
+@st.composite
+def consistent_systems(draw) -> Instance:
+    """k in 0..10 free dimensions: clause a < n - k holds variable a and up to
+    seven later ones, so the parity rows are independent and always
+    consistent; arities 1..8, q in 1..p + 1 and negations are drawn freely."""
+    k = draw(st.integers(0, 10))
+    n = k + draw(st.integers(1, 9))
+    clauses = []
+    for a in range(n - k):
+        later = draw(st.lists(st.integers(a + 1, n - 1), max_size=7, unique=True)) if a + 1 < n else []
+        negated = draw(st.lists(st.booleans(), min_size=1 + len(later), max_size=1 + len(later)))
+        lits = tuple(Literal(v, s) for v, s in zip([a, *later], negated))
+        clauses.append(Clause(lits, draw(st.integers(1, len(lits) + 1))))
+    return Instance(n, tuple(clauses))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(consistent_systems())
+def test_every_scanned_bit_is_the_candidates_evaluation(inst):
+    r = reduce_instance(inst)
+    assert r.free_count == inst.n - inst.m
+    (start, satisfied), = scan(inst, r)
+    assert start == 0 and satisfied.shape == (1 << r.free_count,)
+    for i, bit in enumerate(satisfied):
+        assert bit == eval_instance(inst, expand_index(r, i))
+
+
+def boundary_instance(k: int) -> Instance:
+    """n = k + 2 and two clauses, each with a variable of its own, so exactly k free dimensions."""
+    shared = list(range(2, min(k, 4) + 2))
+    return Instance(k + 2, (
+        clause([(0, F)] + [(v, v % 2 == 1) for v in shared], 1),
+        clause([(1, T)] + [(v, v % 3 == 0) for v in shared[:3]], 2 if shared else 1),
+    ))
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 6, 7, 16, 17])
+def test_blocks_at_the_word_and_block_widths(k):
+    inst = boundary_instance(k)
+    r = reduce_instance(inst)
+    assert r.free_count == k
+    width = min(k, 16)
+    blocks = list(scan(inst, r))
+    assert [start for start, _ in blocks] == list(range(0, 1 << k, 1 << width))
+    for start, satisfied in blocks:
+        # Below k = 6 one word holds more bits than candidates: none of its padding is yielded.
+        assert satisfied.shape == (1 << width,)
+        for i in set(range(min(1 << width, 64))) | {(1 << width) - 1}:
+            assert satisfied[i] == eval_instance(inst, expand_index(r, start + i))
+    assert sum(int(satisfied.sum()) for _, satisfied in blocks) == len(brute_force_solutions(inst))
+
+
+def digest_corpus() -> list[Instance]:
+    """Locked 1in3 and 2in4 instances, 3-regular HC instances with V 24..28,
+    MIXED_K17 (two blocks) and one clause with q > p."""
+    corpus = [gen_locked_random(n, -(-2 * n // 3), 3, 1, seed=n) for n in (31, 34, 37, 40)]
+    corpus += [gen_locked_random(n, n // 2 + 1, 4, 2, seed=n) for n in (22, 24, 26)]
+    corpus += [hc_to_occupation(random_regular_graph(v, 3, seed=v)) for v in (24, 26, 28)]
+    corpus += [MIXED_K17, Instance(6, (clause([(0, F), (1, T), (2, F)], 4), clause([(3, F), (4, T)], 1)))]
+    return corpus
+
+
+def scan_digest(corpus) -> str:
+    """sha256 over every yielded block's start (8 bytes, little-endian) and satisfied bytes."""
+    digest = hashlib.sha256()
+    for inst in corpus:
+        for start, satisfied in scan(inst, reduce_instance(inst)):
+            digest.update(start.to_bytes(8, "little"))
+            digest.update(satisfied.tobytes())
+    return digest.hexdigest()
+
+
+def test_scan_planes_are_pinned():
+    # Recorded with the earlier ripple-carry counter: the parity-aware check yields the same bytes.
+    assert scan_digest(digest_corpus()) == "5065c80c74510cd995c9091b78217ea2d2bed3286f514b4bc195d5e4bfa0341c"
 
 
 class TestGuards:
