@@ -166,10 +166,11 @@ def scan(instance: Instance, reduction: Reduction):
     # Row b is all-ones on the variables that parameter b of the block flips.
     flips = reduction.kernel[::-1][:width].astype(np.uint64) * _ONES
     # Parameters b < 6 are bits of the position inside a word, b >= 6 bits of the word index.
-    planes = np.bitwise_xor.reduce(flips[:6] & _WORD_PATTERNS[:width, None], axis=0)[:, None]
-    for flip in flips[6:]:
-        planes = np.concatenate([planes, planes ^ flip[:, None]], axis=1)
-    words = planes.shape[1]
+    words = 1 << max(width - 6, 0)
+    planes = np.empty((reduction.n, words), dtype=np.uint64)
+    planes[:, 0] = np.bitwise_xor.reduce(flips[:6] & _WORD_PATTERNS[:width, None], axis=0)
+    for b, flip in enumerate(flips[6:]):
+        np.bitwise_xor(planes[:, : 1 << b], flip[:, None], out=planes[:, 1 << b : 2 << b])
 
     by_occupation = defaultdict(list)
     for c in instance.clauses:

@@ -63,95 +63,92 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
 class _BacktrackRun:
     """One depth-first walk of the standard-form decision tree, on an explicit stack.
 
-    A dependent coordinate becomes determinate once every free variable
-    in its row of the dependency map is fixed; a node is pruned when a
-    clause containing a newly determined variable is violated, i.e. has
-    more than q true literals or fewer than q true-or-open ones.
+    The node at depth d has fixed the parameters v_i with i < d, and its
+    packed assignment xs[d] is `point` XOR rows[i] for each of them set to
+    1: xs[d + 1] is xs[d] on the 0-branch and xs[d] ^ rows[d] on the
+    1-branch. Coordinate c is determined from depth ready[c], the depth of
+    the deepest row holding it (free[d] at d + 1, a coordinate no row
+    holds at 0). The other bits of xs[d] are meaningless, so every check
+    masks them away and leaving a node undoes nothing.
 
-    Each clause a keeps two counters in one flat list: slack[2a] = q - true
-    (literals that may still turn true) and slack[2a + 1] = true + open - q
-    (literals that may still turn false). Fixing a literal true lowers the
-    first, fixing it false lowers the second, and the clause is violated
-    once either is negative. A clause with q > p can never be met, so both
-    of its counters start at 0 and any fixed literal cuts the branch.
+    checks[d] has one (mask, negated, lo, q) per clause that gains a
+    determined literal at depth d: mask and negated cover its literals
+    determined so far, and lo = q - (literals still open). The node is
+    cut when the true-literal count t = ((x ^ negated) & mask).bit_count()
+    is above q or below lo. A check that no value can fail (mask has at
+    most q bits and lo <= 0) is dropped. A clause with q > p starts with
+    lo above its determined count, so it cuts at the first depth where it
+    has one.
     """
 
     def __init__(self, instance: Instance, reduction: Reduction, find_first: bool):
         self.find_first = find_first
-        sf = reduction.standard
+        self.standard = sf = reduction.standard
         self.k = k = sf.free_count
-        self.n = sf.n
-        self.slack: list[int] = []
-        # lowered[var][value]: the counters that fixing var to value lowers
-        self.lowered: list[tuple[list[int], list[int]]] = [([], []) for _ in range(sf.n)]
-        for a, c in enumerate(instance.clauses):
-            self.slack += [c.q, c.p - c.q] if c.q <= c.p else [0, 0]
+        # determined[d] masks the coordinates that no row at index d or above holds.
+        ready = [0] * sf.n
+        determined = [(1 << sf.n) - 1] * (k + 1)
+        seen = 0
+        for depth in range(k, 0, -1):
+            row = sf.rows[depth - 1]
+            for var in _set_bits(row & ~seen):
+                ready[var] = depth
+            seen |= row
+            determined[depth - 1] = determined[k] ^ seen
+        self.checks = checks = [[] for _ in range(k + 1)]
+        for c in instance.clauses:
+            mask = negated = 0
+            depths = []
             for lit in c.literals:
-                self.lowered[lit.var][1 - lit.negated].append(2 * a)
-                self.lowered[lit.var][lit.negated].append(2 * a + 1)
-        # steps[d]: the (var, offset, support mask) determined at depth d; the
-        # value is offset XOR the parity of the fixed parameter bits in the mask.
-        # A dependent's mask has bit i where rows[i] holds it, so it is ready
-        # once the deepest of those parameters is fixed.
-        self.steps: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
-        supports = [0] * sf.n
-        for d, (var, row) in enumerate(zip(sf.free, sf.rows)):
-            self.steps[d + 1].append((var, 0, 1 << d))
-            for c in _set_bits(row):
-                supports[c] |= 1 << d
-        free = set(sf.free)
-        for var, mask in enumerate(supports):
-            if var not in free:
-                self.steps[mask.bit_length()].append((var, sf.point >> var & 1, mask))
+                bit = 1 << lit.var
+                mask |= bit
+                if lit.negated:
+                    negated |= bit
+                depths.append(ready[lit.var])
+            depths.sort()
+            q, p = c.q, len(depths)
+            # In depth order, `known` literals are determined at depths[known - 1]; each
+            # depth's check comes at its last literal.
+            for known, depth in enumerate(depths, 1):
+                if known < p and depths[known] == depth:
+                    continue
+                lo = q - p + known
+                if known > q or lo > 0:
+                    held = mask & determined[depth]
+                    checks[depth].append((held, negated & held, lo, q))
         self.nodes_per_depth = [0] * (k + 1)
         self.solution_count = 0
         self.first_solution: np.ndarray | None = None
 
     def run(self) -> TreeStats:
-        k, steps, slack, lowered = self.k, self.steps, self.slack, self.lowered
-        nodes = self.nodes_per_depth
-        values = [0] * self.n
-        applied: list[list[list[int]]] = [[] for _ in range(k + 1)]  # undo log per depth
+        k, sf, checks = self.k, self.standard, self.checks
+        rows, nodes = sf.rows, self.nodes_per_depth
+        x = sf.point
+        xs = [x] * (k + 1)
         depth = 0
-        bits = 0  # bit d is the branch taken at depth d, for d < depth
-        while depth >= 0:
+        while True:
             nodes[depth] += 1
-            log = applied[depth]
-            ok = True
-            for var, offset, mask in steps[depth]:
-                value = offset ^ ((bits & mask).bit_count() & 1)
-                values[var] = value
-                lowers = lowered[var][value]
-                log.append(lowers)
-                for i in lowers:
-                    s = slack[i] - 1
-                    slack[i] = s
-                    if s < 0:
-                        ok = False
-                if not ok:
+            for mask, negated, lo, q in checks[depth]:
+                t = ((x ^ negated) & mask).bit_count()
+                if t > q or t < lo:
                     break
-            if ok:
+            else:
                 if depth < k:
-                    bits &= ~(1 << depth)
                     depth += 1
+                    xs[depth] = x
                     continue
                 self.solution_count += 1
                 if self.first_solution is None:
-                    self.first_solution = np.array(values, dtype=np.uint8)
+                    self.first_solution = gf2._unpack([x], sf.n)[0]
                 if self.find_first:
                     break
-            # Leave nodes until one has an untried 1-branch sibling.
-            while depth >= 0:
-                log = applied[depth]
-                for lowers in log:
-                    for i in lowers:
-                        slack[i] += 1
-                log.clear()
+            # Leave 1-branches (rows[d] holds free[d], so xs changes there); the first
+            # 0-branch found turns into its 1-branch sibling.
+            while depth and xs[depth] != xs[depth - 1]:
                 depth -= 1
-                if depth >= 0 and not bits >> depth & 1:
-                    bits |= 1 << depth
-                    depth += 1
-                    break
+            if not depth:
+                break
+            x = xs[depth] = xs[depth - 1] ^ rows[depth - 1]
         return TreeStats(sum(nodes), tuple(nodes))
 
 

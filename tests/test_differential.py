@@ -9,7 +9,8 @@ beyond the plain OR and AND), k below 6 (a block narrower than one word)
 and n above 64, where brute force cannot run and the backtrackers are the
 reference. The
 backtrackers' decision trees are compared node for node with a recursive
-reference walk that re-evaluates every touched clause at each node.
+reference walk that re-evaluates every touched clause at each node, also
+at n up to 70, where the packed assignment and clause masks pass 64 bits.
 """
 
 from __future__ import annotations
@@ -215,9 +216,7 @@ def reference_tree(inst, reduction, find_first: bool):
     return len(found), tuple(nodes), found[0] if found else None
 
 
-@settings(max_examples=150, **SETTINGS)
-@given(small_instances(max_n=12, max_arity=6))
-def test_backtrack_trees_match_the_recursive_reference(inst):
+def assert_trees_match_the_reference(inst):
     reduction = reduce_instance(inst)
     if isinstance(reduction, XorInfeasible):
         assert backtrack_count(inst, reduction) == (0, TreeStats(0, ()))
@@ -234,3 +233,45 @@ def test_backtrack_trees_match_the_recursive_reference(inst):
         if first is not None:
             assert outcome.assignment.dtype == np.uint8
             assert np.array_equal(outcome.assignment, first)
+
+
+@settings(max_examples=150, **SETTINGS)
+@given(small_instances(max_n=12, max_arity=6))
+def test_backtrack_trees_match_the_recursive_reference(inst):
+    assert_trees_match_the_reference(inst)
+
+
+@st.composite
+def wide_instances(draw) -> Instance:
+    """n up to 70, so clause masks pass 64 bits and span several int digits.
+
+    Up to 16 clauses of arity 1..8 with negations, over variables drawn
+    from an open set of 1..12 or from anywhere. Half take q from a planted
+    assignment (when that count is at least 1); the rest any q in 1..p + 1
+    with that count's parity, so the parity system stays consistent. Every
+    variable outside the open set gets a unit clause that pins it to its
+    planted value, so k <= 12 and the open variables carry the tree.
+    """
+    n = draw(st.integers(65, 70) | st.integers(1, 70))
+    planted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    open_vars = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+    clauses = []
+    for _ in range(draw(st.integers(0, 16))):
+        variables = draw(st.lists(st.sampled_from(open_vars), min_size=1, max_size=8, unique=True))
+        anywhere = draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True))
+        variables += [v for v in anywhere if v not in variables][: 8 - len(variables)]
+        lits = draw(literals(variables))
+        q = sum(planted[lit.var] != lit.negated for lit in lits)
+        if q == 0 or draw(st.integers(0, 7)) == 0:
+            q = draw(st.sampled_from([t for t in range(1, len(lits) + 2) if t % 2 == q % 2]))
+        clauses.append(Clause(lits, q))
+    clauses += [Clause((Literal(v, not planted[v]),), 1) for v in range(n) if v not in open_vars]
+    return Instance(n, tuple(clauses))
+
+
+@settings(max_examples=120, **SETTINGS)
+@given(wide_instances())
+def test_backtrack_trees_match_the_recursive_reference_beyond_64_variables(inst):
+    reduction = reduce_instance(inst)
+    assert isinstance(reduction, XorInfeasible) or reduction.free_count <= 12
+    assert_trees_match_the_reference(inst)

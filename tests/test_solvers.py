@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
+from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
 from xorsat_reduce.instances import (
     Instance,
     brute_force_solutions,
@@ -228,6 +230,40 @@ class TestBacktrack:
         assert stats.total_nodes == k + 1
         assert eval_instance(inst, outcome.assignment)
         assert np.array_equal(outcome.assignment, offset)
+
+
+def tree_corpus() -> list[Instance]:
+    """Locked 1in3 (n 40, 46) and 2in4 (n 22..26) instances, 3-regular HC
+    instances with V 16..24, and a locked 1in3 instance plus one q = p + 1 clause."""
+    corpus = [gen_locked_random(n, -(-2 * n // 3), 3, 1, seed=s) for n in (40, 46) for s in (n, n + 1, n + 2)]
+    corpus += [gen_locked_random(n, n // 2 + 1, 4, 2, seed=n) for n in (22, 24, 26)]
+    corpus += [hc_to_occupation(random_regular_graph(v, 3, seed=v)) for v in (16, 18, 20, 22, 24)]
+    locked = gen_locked_random(40, 27, 3, 1, seed=40)
+    corpus.append(Instance(40, locked.clauses + (clause([(12, False), (33, True)], 3),)))
+    return corpus
+
+
+def tree_digest(corpus) -> str:
+    """sha256 over both walks of each instance, raw and after optimize_permutation(trials=3):
+    (count, T, nodes per depth) of backtrack_count, then (T, nodes per depth, satisfiable,
+    queries) and the assignment bytes of backtrack_solve."""
+    digest = hashlib.sha256()
+    for inst in corpus:
+        r = reduce_instance(inst)
+        for red in (r, optimize_permutation(inst, r, trials=3)):
+            count, stats = backtrack_count(inst, red)
+            digest.update(repr((count, stats.total_nodes, stats.nodes_per_depth)).encode())
+            outcome, stats = backtrack_solve(inst, red)
+            digest.update(repr((stats.total_nodes, stats.nodes_per_depth,
+                                outcome.satisfiable, outcome.queries)).encode())
+            if outcome.assignment is not None:
+                digest.update(outcome.assignment.tobytes())
+    return digest.hexdigest()
+
+
+def test_backtrack_trees_are_pinned():
+    # Recorded with the earlier slack-counter walk: the packed walk builds the same trees.
+    assert tree_digest(tree_corpus()) == "e55794885a12805699d30abbc7aa1193c44a2a5d3cee4dc311094322e09a6bfa"
 
 
 class TestOptimizePermutation:
