@@ -6,8 +6,8 @@ so a row operation is one XOR. Every elimination runs `_gauss_jordan`:
 its pivot rule -- leftmost eligible column (or the caller's column
 order), first eligible row, swapped up -- makes rank, kernel and
 standard-form outputs deterministic for a given input. `eliminate`
-reduces a system [A | b | I] once; its rank, RREF kernel, particular
-solution and inconsistency witness are all read off that one pass.
+reduces a system [A | b | I] once; its rank, RREF standard form and
+inconsistency witness are all read off that one pass.
 """
 
 from __future__ import annotations
@@ -27,15 +27,11 @@ def as_bin_vec(v) -> np.ndarray:
     return arr
 
 
-def as_bin_matrix(m, cols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D uint8 matrix with entries in {0, 1}.
-
-    `cols` pins the column count for inputs with zero rows, where the
-    shape cannot be inferred from the data.
-    """
+def as_bin_matrix(m) -> np.ndarray:
+    """Coerce to a 2-D uint8 matrix with entries in {0, 1}."""
     arr = np.asarray(m, dtype=np.uint8)
     if arr.ndim == 1 and arr.size == 0:
-        arr = arr.reshape(0, cols if cols is not None else 0)
+        arr = arr.reshape(0, 0)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     if arr.size and arr.max() > 1:
@@ -107,15 +103,6 @@ class Elimination:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def particular(self) -> np.ndarray | None:
-        """The solution with every free variable 0, or None when A x = b is inconsistent."""
-        if self.witness() is not None:
-            return None
-        x = 0
-        for row, col in zip(self.rows, self.pivots):
-            x |= (row >> self.n & 1) << col
-        return _unpack([x], self.n)[0]
-
     def witness(self) -> list[int] | None:
         """Rows of A summing to zero while their b entries sum to 1, or None if consistent."""
         for row in self.rows[self.rank:]:
@@ -124,19 +111,22 @@ class Elimination:
                 return [i for i in range(tracker.bit_length()) if tracker >> i & 1]
         return None
 
-    def kernel(self) -> np.ndarray:
-        """RREF null-space basis of A: one row per free column, in increasing order.
+    def basis(self) -> StandardForm | None:
+        """The solution space in RREF standard form, or None when A x = b is inconsistent.
 
-        The row of free column c has a 1 at c and, at each pivot column,
-        the pivot row's entry in column c.
+        Free are the non-pivot columns, in increasing order. The row of free
+        column c has bit c and, at each pivot column, the pivot row's bit c.
         """
+        if self.witness() is not None:
+            return None
         pivot_set = set(self.pivots)
         free = [c for c in range(self.n) if c not in pivot_set]
         reduced = _unpack([row & ((1 << self.n) - 1) for row in self.rows[: self.rank]], self.n)
-        basis = np.zeros((len(free), self.n), dtype=np.uint8)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, self.pivots] = reduced[:, free].T
-        return basis
+        kernel = np.zeros((len(free), self.n), dtype=np.uint8)
+        kernel[np.arange(len(free)), free] = 1
+        kernel[:, self.pivots] = reduced[:, free].T
+        point = sum((row >> self.n & 1) << col for row, col in zip(self.rows, self.pivots))
+        return StandardForm(free=tuple(free), rows=tuple(_pack(kernel)), point=point, n=self.n)
 
 
 def eliminate(rows: list[int], rhs: list[int], n: int) -> Elimination:
@@ -199,7 +189,7 @@ def kernel_basis(m) -> np.ndarray:
     columns; for a zero-row input this is the full standard basis.
     """
     mat = as_bin_matrix(m)
-    return _eliminate_arrays(mat, np.zeros(mat.shape[0], dtype=np.uint8)).kernel()
+    return _unpack(_eliminate_arrays(mat, np.zeros(mat.shape[0], dtype=np.uint8)).basis().rows, mat.shape[1])
 
 
 def solve_particular(m, b) -> np.ndarray | None:
@@ -207,7 +197,8 @@ def solve_particular(m, b) -> np.ndarray | None:
 
     Free variables are set to 0, so the result is deterministic.
     """
-    return _eliminate_arrays(m, b).particular()
+    basis = _eliminate_arrays(m, b).basis()
+    return None if basis is None else basis.expand(())
 
 
 def inconsistency_witness(m, b) -> list[int] | None:
@@ -256,6 +247,14 @@ class StandardForm:
     def free_count(self) -> int:
         return len(self.free)
 
+    def expand(self, v) -> np.ndarray:
+        """The (n,) uint8 assignment of parameters v, 0/1 in row order; missing ones are 0."""
+        x = self.point
+        for row, bit in zip(self.rows, v):
+            if bit:
+                x ^= row
+        return _unpack([x], self.n)[0].copy()
+
 
 def reduced_standard_form(free, rows, point: int, n: int) -> StandardForm:
     """The standard form on rows already reduced on `free`, through any `point` of the space.
@@ -270,24 +269,18 @@ def reduced_standard_form(free, rows, point: int, n: int) -> StandardForm:
     return StandardForm(free=tuple(free), rows=tuple(rows), point=point, n=n)
 
 
-def standard_form(kernel, offset) -> StandardForm:
-    """Standard-form decomposition of an affine space given by basis + offset.
+def standard_form(rows, point: int, n: int) -> StandardForm:
+    """Standard form of the affine space through packed `point` spanned by packed `rows`.
 
-    `kernel` holds k independent rows of length n; `offset` is any point
-    of the affine set {v @ kernel XOR offset}. The free block is the
-    lexicographically earliest set of k coordinates on which the basis
-    has full rank, in increasing order. The parameterization ranges over
-    exactly the same 2^k points.
+    The k rows must be independent vectors of n coordinates. The free
+    block is the lexicographically earliest set of k coordinates on which
+    they have full rank, in increasing order. The parameterization ranges
+    over exactly the same 2^k points.
 
-    Raises ValueError when the kernel rows are dependent.
+    Raises ValueError when the rows are dependent.
     """
-    basis = np.atleast_2d(as_bin_matrix(kernel, cols=len(offset)))
-    point = as_bin_vec(offset)
-    k, n = basis.shape
-    if point.size != n:
-        raise ValueError(f"offset length {point.size} != kernel width {n}")
-    *rows, packed_point = _pack(np.vstack([basis, point]))
+    rows = list(rows)
     free = _gauss_jordan(rows, range(n))
-    if len(free) != k:
+    if len(free) != len(rows):
         raise ValueError("kernel rows are linearly dependent")
-    return reduced_standard_form(free, rows, packed_point, n)
+    return reduced_standard_form(free, rows, point, n)

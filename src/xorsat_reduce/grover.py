@@ -267,7 +267,7 @@ def oracle_resources(spec: OracleSpec) -> ResourceReport:
     """Resource model of the oracle for the given reduction and instance."""
     m = spec.instance.m
     ancillas = m.bit_length()
-    module_i = int(spec.reduction.kernel.sum()) + int(spec.reduction.offset.sum())
+    module_i = sum(x.bit_count() for x in (spec.reduction.basis.point, *spec.reduction.basis.rows))
     module_ii = sum(_clause_check_cost(c.p) for c in spec.instance.clauses)
     module_iii = m * ancillas
     module_iv = 1 if m else 0

@@ -2,12 +2,13 @@
 
 Every exactly-q clause implies the parity constraint sum of its literal
 variables = (negations + q) mod 2, so all solutions of an instance live
-in the affine space of the resulting GF(2) system. The reduction packages
-a kernel basis, a particular solution and the standard-form decomposition
-that backtracking uses; an inconsistent system yields a certified
-infeasibility witness instead. `scan` walks the reduced space for every
-classical consumer; since its candidates all satisfy the parity system,
-it checks each exactly-q clause only against q + 2 and q - 1 true literals.
+in the affine space of the resulting GF(2) system. A reduction holds two
+packed standard forms of it: the RREF basis, which orders the candidates
+of `expand_index`, `scan` and Grover, and the form backtracking walks; an
+inconsistent system yields a certified infeasibility witness instead.
+`scan` walks the reduced space for every classical consumer; its candidates
+all satisfy the parity system, so it checks each exactly-q clause only
+against q + 2 and q - 1 true literals.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .gf2 import StandardForm
 from .instances import Instance
 
 SCAN_MAX_FREE = 30
+# Largest k * n accepted: `Elimination.basis()` first builds the basis as a dense k x n array.
+REDUCE_MAX_BITS = 1 << 24
 _SCAN_BLOCK = 1 << 16
 
 _ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
@@ -55,18 +58,25 @@ class XorInfeasible:
 
 @dataclass(frozen=True, eq=False)
 class Reduction:
-    kernel: np.ndarray  # (k, n) uint8, rows form a basis of the parity kernel
-    offset: np.ndarray  # (n,) uint8, one parity solution
+    basis: StandardForm  # RREF kernel rows on the non-pivot columns, through the particular solution
     m_prime: int  # number of independent parity rows (= n - k)
-    standard: StandardForm
+    standard: StandardForm  # the form backtracking walks
 
     @property
     def n(self) -> int:
-        return self.kernel.shape[1]
+        return self.basis.n
 
     @property
     def free_count(self) -> int:
-        return self.kernel.shape[0]
+        return self.basis.free_count
+
+    @property
+    def kernel(self) -> np.ndarray:  # (k, n) uint8, the basis rows
+        return gf2._unpack(self.basis.rows, self.n)
+
+    @property
+    def offset(self) -> np.ndarray:  # (n,) uint8, the basis point: one parity solution
+        return self.basis.expand(())
 
     def with_standard(self, standard: StandardForm) -> "Reduction":
         return replace(self, standard=standard)
@@ -87,9 +97,10 @@ def reduce_instance(instance: Instance):
     """Reduction of the parity system, or an XorInfeasible certificate.
 
     One elimination of the packed rows [A | b | I] gives the rank, the
-    particular solution, the witness and the RREF kernel. On success the
-    affine space {expand_index(r, i)} has exactly 2^(n - m_prime) points and
-    contains every satisfying assignment of the instance.
+    witness and the RREF basis; a k x n basis over REDUCE_MAX_BITS is
+    refused before it is built. On success the affine space
+    {expand_index(r, i)} has exactly 2^(n - m_prime) points and contains
+    every satisfying assignment of the instance.
     """
     rows = []
     rhs = []
@@ -100,15 +111,17 @@ def reduce_instance(instance: Instance):
         rows.append(row)
         rhs.append((c.negation_count + c.q) % 2)
     system = gf2.eliminate(rows, rhs, instance.n)
-    offset = system.particular()
-    if offset is None:
-        return XorInfeasible(witness=tuple(system.witness()), m_prime=system.rank)
-    kernel = system.kernel()
+    witness = system.witness()
+    if witness is not None:
+        return XorInfeasible(witness=tuple(witness), m_prime=system.rank)
+    size = (instance.n - system.rank) * instance.n
+    if size > REDUCE_MAX_BITS:
+        raise GuardExceeded("reduced-space basis size k*n", size, REDUCE_MAX_BITS)
+    basis = system.basis()
     return Reduction(
-        kernel=kernel,
-        offset=offset,
+        basis=basis,
         m_prime=system.rank,
-        standard=gf2.standard_form(kernel, offset),
+        standard=gf2.standard_form(basis.rows, basis.point, basis.n),
     )
 
 
@@ -116,16 +129,12 @@ def expand_index(reduction: Reduction, index: int) -> np.ndarray:
     """The candidate at `index` in lexicographic parameter order.
 
     Parameter v_j is bit k - 1 - j of index (most significant first), and
-    the assignment is v1*xi1 XOR ... XOR vk*xik XOR offset.
+    the assignment is the basis expanded on v.
     """
     k = reduction.free_count
     if index < 0 or index >> k:
         raise ValueError(f"index {index} out of range for k = {k}")
-    out = reduction.offset.copy()
-    for j, row in enumerate(reduction.kernel):
-        if index >> (k - 1 - j) & 1:
-            out ^= row
-    return out
+    return reduction.basis.expand(index >> (k - 1 - j) & 1 for j in range(k))
 
 
 def _at_least(literals: np.ndarray, t: int) -> np.ndarray:
@@ -154,7 +163,7 @@ def scan(instance: Instance, reduction: Reduction):
     Inside a block of 2^w candidates only the last w parameters vary, so
     each variable is one packed bit plane over the block: the fixed part
     of the block's expansion XOR the planes of the varying parameters
-    whose kernel rows contain it. Every candidate solves the parity
+    whose basis rows contain it. Every candidate solves the parity
     system, so each clause's true-literal count already has q's parity,
     and it equals q unless it reaches q + 2 or misses q - 1. A clause
     with q > p is never met. Guarded to k <= 30.
@@ -164,7 +173,7 @@ def scan(instance: Instance, reduction: Reduction):
         raise GuardExceeded("reduced-space dimension k", k, SCAN_MAX_FREE)
     width = min(k, _SCAN_BLOCK.bit_length() - 1)
     # Row b is all-ones on the variables that parameter b of the block flips.
-    flips = reduction.kernel[::-1][:width].astype(np.uint64) * _ONES
+    flips = gf2._unpack(reduction.basis.rows[::-1][:width], reduction.n).astype(np.uint64) * _ONES
     # Parameters b < 6 are bits of the position inside a word, b >= 6 bits of the word index.
     words = 1 << max(width - 6, 0)
     planes = np.empty((reduction.n, words), dtype=np.uint64)
@@ -206,11 +215,7 @@ def expand_standard(reduction: Reduction, v_prime) -> np.ndarray:
     sf = reduction.standard
     if vec.size != sf.free_count:
         raise ValueError(f"parameter length {vec.size} != k = {sf.free_count}")
-    x = sf.point
-    for row, bit in zip(sf.rows, vec):
-        if bit:
-            x ^= row
-    return gf2._unpack([x], sf.n)[0]
+    return sf.expand(vec)
 
 
 def kernel_excess(instance: Instance, reduction: Reduction) -> int:

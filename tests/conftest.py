@@ -30,6 +30,19 @@ def expand_rows(reduction, bits):
     return (product % 2).astype(np.uint8) ^ reduction.offset
 
 
+def pack_space(kernel, offset) -> tuple[list[int], int, int]:
+    """A dense (kernel, offset) pair packed as `gf2.standard_form` takes it: (rows, point, n).
+
+    `kernel` may have zero rows; its width is the offset's length.
+    """
+    point = gf2.as_bin_vec(offset)
+    basis = np.asarray(kernel, dtype=np.uint8)
+    if basis.size == 0:
+        basis = basis.reshape(len(basis), point.size)
+    *rows, packed_point = gf2._pack(np.vstack([gf2.as_bin_matrix(basis), point]))
+    return rows, packed_point, point.size
+
+
 class DenseStandard(NamedTuple):
     """A standard form as dense arrays: coordinates reordered by `perm`, free block first.
 
@@ -73,9 +86,9 @@ def dense_standard_form(kernel, offset, selection=None) -> DenseStandard:
     the free block is taken in the given order, and a block on which the
     kernel is not full-rank raises ValueError.
     """
-    basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
-    point = gf2.as_bin_vec(offset)
-    k, n = basis.shape
+    rows, packed_point, n = pack_space(kernel, offset)
+    basis, point = gf2._unpack(rows, n), gf2._unpack([packed_point], n)[0]
+    k = len(rows)
     if selection is None:
         sel = dense_eliminate(basis.copy(), n)
         if len(sel) != k:
@@ -114,12 +127,11 @@ def standard_form_on(kernel, offset, selection):
     them, so a selection reaches the library only through its one
     constructor for already-reduced rows.
     """
-    basis = np.atleast_2d(gf2.as_bin_matrix(kernel, cols=len(offset)))
-    *rows, point = gf2._pack(np.vstack([basis, gf2.as_bin_vec(offset)]))
+    rows, point, n = pack_space(kernel, offset)
     free = gf2._gauss_jordan(rows, [int(c) for c in selection])
     if free != list(selection) or len(free) != len(rows):
         return None
-    return gf2.reduced_standard_form(free, rows, point, basis.shape[1])
+    return gf2.reduced_standard_form(free, rows, point, n)
 
 
 def reference_solutions(instance):

@@ -6,8 +6,10 @@ import argparse
 import hashlib
 import json
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,28 @@ class TestSolveCount:
         code = main(["solve", str(path)])
         assert code == 3
         assert "guard" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost"])
+def test_oversized_header_exits_3_under_a_memory_limit(tmp_path, command):
+    """k = 199,999 free variables of n = 200,000: the dense basis (37 GiB) is refused, not built.
+
+    Each command runs in a child process limited to 2 GiB of address space.
+    """
+    path = tmp_path / "wide.occ"
+    path.write_text("p occ 200000 1 1\n1 2 3 0\n")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "xorsat_reduce.cli", command, str(path)],
+        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "exceeds guard" in result.stderr and "Traceback" not in result.stderr
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost", "hc"])

@@ -22,7 +22,7 @@ from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import _at_least_degree, _climb, optimize_permutation
 
-from conftest import dense_standard, dense_standard_form, standard_form_on
+from conftest import dense_standard, dense_standard_form, pack_space, standard_form_on
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -138,22 +138,23 @@ def assert_same_climb(instance, reduction, trials, seed):
 def kernel_reductions(draw):
     """An instance and a full-rank k x n kernel, 1 <= k < n <= 30, with any clauses (M may be 0).
 
-    The climb reads only the kernel, the input free block and which
+    The climb reads only the kernel's span, the input free block and which
     variables each clause holds, so the clauses need not fit the kernel.
+    The reduction's basis is the kernel's standard form.
     """
     n = draw(st.integers(2, 30))
     k = draw(st.integers(1, n - 1))
     kernel = np.array([[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(k)], dtype=np.uint8)
     assume(gf2.rank(kernel) == k)
     offset = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
-    standard = gf2.standard_form(kernel, offset)
+    basis = standard = gf2.standard_form(*pack_space(kernel, offset))
     if draw(st.booleans()):
-        standard = standard_form_on(kernel, offset, draw(st.permutations(standard.free)))
+        standard = standard_form_on(kernel, offset, draw(st.permutations(basis.free)))
     clauses = []
     for _ in range(draw(st.integers(0, 40))):
         variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
         clauses.append(Clause(tuple(Literal(v, False) for v in variables), 1))
-    reduction = Reduction(kernel=kernel, offset=offset, m_prime=n - k, standard=standard)
+    reduction = Reduction(basis=basis, m_prime=n - k, standard=standard)
     return Instance(n, tuple(clauses)), reduction
 
 

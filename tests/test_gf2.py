@@ -16,7 +16,7 @@ from xorsat_reduce.hamcycle import Graph, hc_to_occupation
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
 
-from conftest import dense_eliminate, dense_standard, dense_standard_form, standard_form_on
+from conftest import dense_eliminate, dense_standard, dense_standard_form, pack_space, standard_form_on
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -230,13 +230,13 @@ def standard_set(sf):
 
 class TestStandardForm:
     def test_single_repetition_vector(self):
-        sf = gf2.standard_form([[1, 1, 1]], [0, 0, 0])
+        sf = gf2.standard_form(*pack_space([[1, 1, 1]], [0, 0, 0]))
         assert (sf.free, sf.rows, sf.point, sf.n) == ((0,), (0b111,), 0, 3)
         assert standard_set(sf) == {(0, 0, 0), (1, 1, 1)}
 
     def test_already_standard(self):
         kernel = np.concatenate([np.eye(3, dtype=np.uint8), np.zeros((3, 2), dtype=np.uint8)], axis=1)
-        sf = gf2.standard_form(kernel, np.zeros(5, dtype=np.uint8))
+        sf = gf2.standard_form(*pack_space(kernel, np.zeros(5, dtype=np.uint8)))
         assert (sf.free, sf.rows, sf.point) == ((0, 1, 2), (1, 2, 4), 0)
 
     def test_identity_upper_block_after_transform(self):
@@ -248,7 +248,7 @@ class TestStandardForm:
             if kernel.shape[0] == 0:
                 continue
             offset = rng.integers(0, 2, size=n, dtype=np.uint8)
-            perm, h, _ = dense_standard(gf2.standard_form(kernel, offset))
+            perm, h, _ = dense_standard(gf2.standard_form(*pack_space(kernel, offset)))
             k = kernel.shape[0]
             u_inv = gf2.inverse(kernel[:, perm[:k]])
             transformed = (u_inv.astype(int) @ kernel.astype(int) % 2)[:, perm]
@@ -262,26 +262,26 @@ class TestStandardForm:
             m = random_bin_matrix(rng, rng.integers(0, n + 1), n)
             kernel = gf2.kernel_basis(m)
             offset = rng.integers(0, 2, size=n, dtype=np.uint8)
-            sf = gf2.standard_form(kernel, offset)
+            sf = gf2.standard_form(*pack_space(kernel, offset))
             assert standard_set(sf) == affine_set(kernel, offset)
 
     def test_offset_head_is_zero(self):
         rng = np.random.default_rng(89)
         kernel = gf2.kernel_basis(random_bin_matrix(rng, 3, 8))
         offset = rng.integers(0, 2, size=8, dtype=np.uint8)
-        sf = gf2.standard_form(kernel, offset)
+        sf = gf2.standard_form(*pack_space(kernel, offset))
         free_bits = sum(1 << c for c in sf.free)
         assert not sf.point & free_bits
         assert [row & free_bits for row in sf.rows] == [1 << c for c in sf.free]
 
     def test_dependent_rows_rejected(self):
         with pytest.raises(ValueError):
-            gf2.standard_form([[1, 1, 0], [1, 1, 0]], [0, 0, 0])
+            gf2.standard_form(*pack_space([[1, 1, 0], [1, 1, 0]], [0, 0, 0]))
 
     def test_explicit_selection(self):
         kernel = np.array([[1, 1, 1, 0], [0, 1, 1, 1]], dtype=np.uint8)
         offset = np.array([0, 1, 0, 1], dtype=np.uint8)
-        default = gf2.standard_form(kernel, offset)
+        default = gf2.standard_form(*pack_space(kernel, offset))
         alt = standard_form_on(kernel, offset, [3, 2])
         assert alt.free == (3, 2)
         assert standard_set(alt) == standard_set(default)
@@ -477,7 +477,7 @@ def test_witness_rows_sum_to_zero_equals_one(system):
 def test_standard_forms_span_the_affine_space(data, space):
     kernel, offset = space
     points = affine_set(kernel, offset) if kernel.shape[0] else {tuple(offset)}
-    assert standard_set(gf2.standard_form(kernel, offset)) == points
+    assert standard_set(gf2.standard_form(*pack_space(kernel, offset))) == points
     selection = data.draw(selections(kernel))
     sf = standard_form_on(kernel, offset, selection)
     if sf is not None:
@@ -512,7 +512,7 @@ def test_packed_core_matches_dense_reference(system):
 @given(st.data(), affine_spaces())
 def test_standard_form_matches_dense_reference(data, space):
     kernel, offset = space
-    got, error = outcome_or_error(gf2.standard_form, kernel, offset)
+    got, error = outcome_or_error(gf2.standard_form, *pack_space(kernel, offset))
     want, want_error = outcome_or_error(dense_standard_form, kernel, offset)
     assert error == want_error
     if got is not None:
@@ -527,7 +527,7 @@ def test_standard_form_matches_dense_reference(data, space):
 
 def test_standard_form_rejects_dependent_kernels_like_the_reference():
     kernel = np.array([[1, 1, 0], [1, 1, 0]], dtype=np.uint8)
-    _, error = outcome_or_error(gf2.standard_form, kernel, np.zeros(3, dtype=np.uint8))
+    _, error = outcome_or_error(gf2.standard_form, *pack_space(kernel, np.zeros(3, dtype=np.uint8)))
     _, want = outcome_or_error(dense_standard_form, kernel, np.zeros(3, dtype=np.uint8))
     assert error is not None and error == want
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from xorsat_reduce import gf2
+from xorsat_reduce import gf2, reduction
 from xorsat_reduce.bits import bit_block
+from xorsat_reduce.errors import GuardExceeded
+from xorsat_reduce.grover import OracleSpec, oracle_resources
+from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
 from xorsat_reduce.instances import (
     Clause,
     Instance,
@@ -116,6 +121,23 @@ class TestReduce:
         assert len(hits) == 1 and tuple(hits[0]) == (0, 0, 0, 1)
 
 
+class TestBasisGuard:
+    def test_refuses_a_basis_over_the_bit_budget(self, monkeypatch):
+        monkeypatch.setattr(reduction, "REDUCE_MAX_BITS", 100)
+        assert reduce_instance(Instance(10, ())).free_count == 10
+        with pytest.raises(GuardExceeded) as err:
+            reduce_instance(Instance(11, ()))
+        assert (err.value.value, err.value.limit) == (11 * 11, 100)
+
+    def test_wide_header_is_refused_and_an_infeasible_one_certified(self):
+        wide = Instance(200_000, (clause([(0, False), (1, False), (2, False)], 1),))
+        with pytest.raises(GuardExceeded) as err:
+            reduce_instance(wide)
+        assert err.value.value == 199_999 * 200_000
+        contradiction = Instance(200_000, (clause([(0, False), (1, False)], 1), clause([(0, False), (1, False)], 2)))
+        assert reduce_instance(contradiction) == XorInfeasible(witness=(0, 1), m_prime=1)
+
+
 class TestExpand:
     def test_zero_parameter_gives_offset(self, chain_instance):
         r = reduce_instance(chain_instance)
@@ -218,3 +240,53 @@ class TestEnsembleInvariants:
             expansion_set = {tuple(x) for x in expansions}
             assert len(expansion_set) == 1 << (inst.n - outcome.m_prime)
             assert solutions <= expansion_set
+
+
+def reduction_corpus(chain) -> list[Instance]:
+    """Locked 1in3 (n 31..46) and 2in4 (n 22..26) instances, 3-regular HC
+    instances with V 16..28, the chain, an odd parity cycle (XOR-infeasible)
+    and one clause with q > p."""
+    corpus = [gen_locked_random(n, -(-2 * n // 3), 3, 1, seed=n) for n in range(31, 47, 3)]
+    corpus += [gen_locked_random(n, n // 2 + 1, 4, 2, seed=n) for n in (22, 24, 26)]
+    corpus += [hc_to_occupation(random_regular_graph(v, 3, seed=v)) for v in range(16, 29, 4)]
+    corpus += [
+        chain,
+        Instance(3, tuple(clause([(a, False), (b, False)], 1) for a, b in ((0, 1), (1, 2), (0, 2)))),
+        Instance(6, (clause([(0, False), (1, True), (2, False)], 4), clause([(3, False), (4, True)], 1))),
+    ]
+    return corpus
+
+
+def reduction_digest(corpus) -> str:
+    """sha256 over each reduction's dense views, m_prime, standard form, expansions and
+    oracle resources, or its XOR witness."""
+    digest = hashlib.sha256()
+
+    def put(*values):
+        digest.update(repr(values).encode())
+
+    for inst in corpus:
+        r = reduce_instance(inst)
+        if isinstance(r, XorInfeasible):
+            put("xor", r.witness, r.m_prime)
+            continue
+        for array in (r.kernel, r.offset):
+            put(array.shape, array.dtype.str)
+            digest.update(array.tobytes())
+        sf = r.standard
+        put(r.m_prime, sf.free, sf.rows, sf.point, sf.n)
+        k = r.free_count
+        for index in sorted({0, 1, (1 << k) - 1}):
+            if index < 1 << k:
+                digest.update(expand_index(r, index).tobytes())
+        for value in (0, 1):
+            digest.update(expand_standard(r, np.full(k, value, dtype=np.uint8)).tobytes())
+        put(dataclasses.astuple(oracle_resources(OracleSpec(reduction=r, instance=inst))))
+    return digest.hexdigest()
+
+
+def test_reduction_bytes_are_pinned(chain_instance):
+    corpus = reduction_corpus(chain_instance)
+    assert sum(isinstance(reduce_instance(inst), XorInfeasible) for inst in corpus) >= 1
+    # Recorded with the dense kernel and offset that Reduction stored before it kept the packed basis.
+    assert reduction_digest(corpus) == "ed614482a0094a0bf16fcda27dff6e7c2f6d928a376713dbbdfde2f49707dc0b"

@@ -37,7 +37,7 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import expand_rows, reference_solutions
+from conftest import expand_rows, pack_space, reference_solutions
 
 
 def free_block_coverage(instance, reduction):
@@ -199,8 +199,9 @@ class TestBacktrack:
         """k = 1500 disjoint 1-in-2 clauses: one node per depth, under the default recursion limit.
 
         The reduction is built by hand (kernel rows e_2i + e_2i+1, free block
-        the even coordinates, offset and point the odd ones), because dense
-        elimination at n = 3000 takes seconds.
+        the even coordinates, offset and point the odd ones) and serves as
+        both basis and standard form, because `reduce_instance` takes
+        0.7-1 s at n = 3000, several times as long as the whole test.
         """
         k = 1500
         n = 2 * k
@@ -218,7 +219,9 @@ class TestBacktrack:
         assert np.array_equal(gf2.matvec(system.matrix, offset), system.rhs)
         # A @ kernel.T over the integers (entries at most 2, exact in float32), then mod 2
         assert not ((system.matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
-        r = Reduction(kernel=kernel, offset=offset, m_prime=n - k, standard=standard)
+        rows, point, _ = pack_space(kernel, offset)
+        assert (tuple(rows), point) == (standard.rows, standard.point)
+        r = Reduction(basis=standard, m_prime=n - k, standard=standard)
         v = np.arange(k) % 2
         assert np.array_equal(expand_standard(r, v), expand_rows(r, v[None])[0])
 

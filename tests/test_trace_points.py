@@ -1,11 +1,13 @@
-"""The benchmark's outside-in tracer still finds every library name it wraps.
+"""The benchmark's tracer and checker still find every library name they read.
 
 `bench/spans.py` swaps each (module, name) pair in its TRACE_POINTS table,
 and `OracleSpec.solution_mask`, for a wrapper that records a span while a
 traced run (`bench/run.py --trace 1`) is in progress. A library change that
 renames or deletes one of those names breaks the traced run with an
 AttributeError; entering and leaving the tracer here catches that in the
-library's own suite.
+library's own suite. `bench/checks.py` expands Grover's measured index
+from the reduction's dense `kernel` and `offset`; its expansion must stay
+the library's, or every checked `grover_known` op fails.
 """
 
 from __future__ import annotations
@@ -13,17 +15,24 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from xorsat_reduce import grover, solvers
-from xorsat_reduce.instances import Clause, Instance, Literal
+from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
+from xorsat_reduce.reduction import Reduction, expand_index, reduce_instance
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_bench("spans")
 
 
 def test_tracer_installs_and_restores_every_trace_point():
@@ -46,3 +55,17 @@ def test_tracer_installs_and_restores_every_trace_point():
     parents = [span[3] for span in tracer.spans]
     assert names == ["solvers.scan", "reduction.reduce", "gf2.standard_form"]
     assert parents == [-1, 0, 1]
+
+
+def test_checker_expands_indices_like_the_library():
+    checks = load_bench("checks")
+    corpus = [Instance(1, (Clause((Literal(0),), 1),)), Instance(4, ()),
+              Instance(3, (Clause((Literal(0), Literal(1), Literal(2)), 3),))]
+    corpus += [gen_locked_random(n, -(-2 * n // 3), 3, 1, seed=n) for n in (12, 25, 40)]
+    for inst in corpus:
+        red = reduce_instance(inst)
+        assert isinstance(red, Reduction)
+        k = red.free_count
+        for index in sorted({0, 1, 5, (1 << k) // 3, (1 << k) - 1} & set(range(1 << k))):
+            got, want = checks._expand_index(red, index), expand_index(red, index)
+            assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want), (inst.n, index)
