@@ -268,7 +268,7 @@ def oracle_resources(spec: OracleSpec) -> ResourceReport:
     m = spec.instance.m
     ancillas = m.bit_length()
     module_i = sum(x.bit_count() for x in (spec.reduction.basis.point, *spec.reduction.basis.rows))
-    module_ii = sum(_clause_check_cost(c.p) for c in spec.instance.clauses)
+    module_ii = sum(_clause_check_cost(len(clause_vars)) for clause_vars in spec.instance.variables)
     module_iii = m * ancillas
     module_iv = 1 if m else 0
     return ResourceReport(

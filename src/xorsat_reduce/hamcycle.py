@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .errors import GenerationError, GuardExceeded, ParseError
-from .instances import Clause, Instance, Literal
+from .instances import Instance
 from .reduction import XorInfeasible, expand_index, reduce_instance, scan
 
 BRUTE_FORCE_MAX_NODES = 12
@@ -113,12 +113,9 @@ def hc_to_occupation(graph: Graph) -> Instance:
     """
     degrees = graph.degrees()
     if graph.n_nodes and degrees.min() == 0:
-        return Instance(max(graph.n_edges, 1), (Clause((Literal(0),), 2),))
-    clauses = tuple(
-        Clause(tuple(Literal(e) for e in incident), 2)
-        for incident in graph.incident_edges()
-    )
-    return Instance(graph.n_edges, clauses)
+        return Instance._from_table(max(graph.n_edges, 1), ((0,),), (0,), (2,))
+    variables = tuple(map(tuple, graph.incident_edges()))
+    return Instance._from_table(graph.n_edges, variables, (0,) * graph.n_nodes, (2,) * graph.n_nodes)
 
 
 def hc_rank_check(graph: Graph) -> int:

@@ -1,16 +1,28 @@
 """Occupation (q-in-p-SAT) instances: data model, evaluation, generation, file I/O.
 
 A clause holds p literals over pairwise-distinct variables and is satisfied
-when exactly q of them are true. Assignments are plain uint8 arrays of
-length n; partial assignments are int8 arrays where INDETERMINATE (-1)
-marks an unset variable.
+when exactly q of them are true. An `Instance` stores its clauses once, as
+a flat table of three parallel tuples with one entry per clause:
+`variables` (the variable of each literal, in literal order), `negations`
+(bit j set iff literal j is negated, so p bits wide, not n) and
+`occupations` (q). `parse_instance`, `gen_locked_random` and
+`hc_to_occupation` fill the table directly, and every later stage reads
+it. The n-bit ints that the packed stages use, `variable_masks` and
+`negated_masks`, are derived on first use and cached on the instance.
+`Clause` and `Literal` are the constructor's input, `Instance(n, clauses)`,
+and the read-only `clauses` view, built only when something reads it;
+the evaluators and brute force walk that view as independent references.
+Assignments are plain uint8 arrays of length n; partial assignments are
+int8 arrays where INDETERMINATE (-1) marks an unset variable.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,26 +78,82 @@ class Clause:
         return sum(lit.negated for lit in self.literals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Instance:
-    n: int
-    clauses: tuple[Clause, ...]
+    """n variables and the clause table: per clause a, the variables of its
+    literals in order, their negations as bits over literal positions, and q.
 
-    def __post_init__(self):
-        if self.n < 0:
+    Equality and hash are over (n, table). `Instance(n, clauses)` checks
+    its `Clause` objects against n and keeps them as the `clauses` view.
+    """
+
+    n: int
+    variables: tuple[tuple[int, ...], ...]
+    negations: tuple[int, ...]
+    occupations: tuple[int, ...]
+
+    def __init__(self, n: int, clauses):
+        if n < 0:
             raise ValueError("variable count must be nonnegative")
-        for clause in self.clauses:
-            for lit in clause.literals:
-                if not 0 <= lit.var < self.n:
-                    raise ValueError(f"literal variable {lit.var} not in [0, {self.n})")
+        clauses = tuple(clauses)
+        variables = []
+        negations = []
+        for c in clauses:
+            clause_vars = tuple(operator.index(lit.var) for lit in c.literals)
+            for v in clause_vars:
+                if not 0 <= v < n:
+                    raise ValueError(f"literal variable {v} not in [0, {n})")
+            variables.append(clause_vars)
+            negations.append(sum(1 << j for j, lit in enumerate(c.literals) if lit.negated))
+        self.__dict__.update(n=n, variables=tuple(variables), negations=tuple(negations),
+                             occupations=tuple(c.q for c in clauses), clauses=clauses)
+
+    @classmethod
+    def _from_table(cls, n: int, variables, negations, occupations) -> "Instance":
+        """An instance over a table that its producer has already checked: every
+        variable tuple nonempty, repeat-free and in [0, n), every q >= 1."""
+        instance = object.__new__(cls)
+        instance.__dict__.update(n=n, variables=variables, negations=negations, occupations=occupations)
+        return instance
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return len(self.occupations)
 
     @property
     def alpha(self) -> float:
         return self.m / self.n if self.n else 0.0
+
+    @cached_property
+    def clauses(self) -> tuple[Clause, ...]:
+        """The clauses as `Clause`/`Literal` objects, built on first read."""
+        return tuple(
+            Clause(tuple(Literal(v, bool(neg >> j & 1)) for j, v in enumerate(clause_vars)), q)
+            for clause_vars, neg, q in zip(self.variables, self.negations, self.occupations)
+        )
+
+    @cached_property
+    def variable_masks(self) -> tuple[int, ...]:
+        """Bit v of entry a is set iff variable v occurs in clause a."""
+        masks = []
+        for clause_vars in self.variables:
+            mask = 0
+            for v in clause_vars:
+                mask |= 1 << v
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
+    def negated_masks(self) -> tuple[int, ...]:
+        """Bit v of entry a is set iff variable v occurs negated in clause a."""
+        masks = []
+        for clause_vars, negated in zip(self.variables, self.negations):
+            mask = 0
+            for j, v in enumerate(clause_vars):
+                if negated >> j & 1:
+                    mask |= 1 << v
+            masks.append(mask)
+        return tuple(masks)
 
 
 def clause(var_signs, q: int) -> Clause:
@@ -188,10 +256,11 @@ def gen_locked_random(
             for v in cv:
                 degree[v] += 1
         if _repair_degrees(clause_vars, degree, rng):
-            negated = (rng.random(size=(m, p)) < negation_prob).tolist()
-            return Instance(
-                n, tuple(Clause(tuple(map(Literal, cv, signs)), q) for cv, signs in zip(clause_vars, negated))
-            )
+            # Row a's negations as bytes, least significant literal first.
+            packed = np.packbits(rng.random(size=(m, p)) < negation_prob, axis=1, bitorder="little")
+            data, width = packed.tobytes(), packed.shape[1]
+            negations = tuple(int.from_bytes(data[a * width : (a + 1) * width], "little") for a in range(m))
+            return Instance._from_table(n, tuple(map(tuple, clause_vars)), negations, (q,) * m)
     raise GenerationError(
         f"could not lock n={n} m={m} p={p} within {_GENERATION_RESTARTS} restarts"
     )
@@ -246,8 +315,11 @@ def parse_instance(text: str) -> Instance:
     n = None
     m_declared = 0
     q_default = 1
-    clauses: list[Clause] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    variables: list[tuple[int, ...]] = []
+    negations: list[int] = []
+    occupations: list[int] = []
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -266,16 +338,20 @@ def parse_instance(text: str) -> Instance:
             continue
         if n is None:
             raise ParseError(lineno, "clause line before header")
-        clauses.append(_parse_clause_line(line, lineno, n, q_default))
-    last_line = max(1, len(text.splitlines()))
+        clause_vars, negated, q = _parse_clause_line(line, lineno, n, q_default)
+        variables.append(clause_vars)
+        negations.append(negated)
+        occupations.append(q)
+    last_line = max(1, len(lines))
     if n is None:
         raise ParseError(last_line, "missing 'p occ' header")
-    if len(clauses) != m_declared:
-        raise ParseError(last_line, f"header declares {m_declared} clauses, found {len(clauses)}")
-    return Instance(n, tuple(clauses))
+    if len(occupations) != m_declared:
+        raise ParseError(last_line, f"header declares {m_declared} clauses, found {len(occupations)}")
+    return Instance._from_table(n, tuple(variables), tuple(negations), tuple(occupations))
 
 
-def _parse_clause_line(line: str, lineno: int, n: int, q_default: int) -> Clause:
+def _parse_clause_line(line: str, lineno: int, n: int, q_default: int) -> tuple[tuple[int, ...], int, int]:
+    """(variables, negation bits over literal positions, q) of one clause line."""
     tokens = line.split()
     q = q_default
     if tokens and tokens[0].startswith("q="):
@@ -288,8 +364,9 @@ def _parse_clause_line(line: str, lineno: int, n: int, q_default: int) -> Clause
         tokens = tokens[1:]
     if not tokens or tokens[-1] != "0":
         raise ParseError(lineno, "clause line must end with 0")
-    literals = []
-    for tok in tokens[:-1]:
+    clause_vars = []
+    negated = 0
+    for j, tok in enumerate(tokens[:-1]):
         try:
             lit = int(tok)
         except ValueError:
@@ -298,26 +375,28 @@ def _parse_clause_line(line: str, lineno: int, n: int, q_default: int) -> Clause
             raise ParseError(lineno, "literal 0 before end of clause")
         if abs(lit) > n:
             raise ParseError(lineno, f"literal index {abs(lit)} out of range (n = {n})")
-        literals.append(Literal(abs(lit) - 1, lit < 0))
-    if not literals:
+        if lit < 0:
+            negated |= 1 << j
+            clause_vars.append(~lit)
+        else:
+            clause_vars.append(lit - 1)
+    if not clause_vars:
         raise ParseError(lineno, "empty clause")
-    variables = [lit.var for lit in literals]
-    if len(set(variables)) != len(variables):
-        raise ParseError(lineno, f"repeated variable in clause: {sorted(v + 1 for v in variables)}")
-    return Clause(tuple(literals), q)
+    if len(set(clause_vars)) != len(clause_vars):
+        raise ParseError(lineno, f"repeated variable in clause: {sorted(v + 1 for v in clause_vars)}")
+    return tuple(clause_vars), negated, q
 
 
 def emit_instance(instance: Instance) -> str:
     """Serialize to the occupation file format (single-space separated)."""
-    if instance.clauses:
-        counts = Counter(c.q for c in instance.clauses)
+    if instance.m:
+        counts = Counter(instance.occupations)
         best = max(counts.values())
         q_default = min(q for q, cnt in counts.items() if cnt == best)
     else:
         q_default = 1
     lines = [f"p occ {instance.n} {instance.m} {q_default}"]
-    for c in instance.clauses:
-        body = " ".join(str(lit.var + 1) if not lit.negated else str(-(lit.var + 1)) for lit in c.literals)
-        prefix = f"q={c.q} " if c.q != q_default else ""
-        lines.append(f"{prefix}{body} 0")
+    for clause_vars, negated, q in zip(instance.variables, instance.negations, instance.occupations):
+        body = " ".join([str(~v if negated >> j & 1 else v + 1) for j, v in enumerate(clause_vars)])
+        lines.append(f"{body} 0" if q == q_default else f"q={q} {body} 0")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -82,15 +83,17 @@ class Reduction:
         return replace(self, standard=standard)
 
 
+def _parities(instance: Instance) -> list[int]:
+    """Right-hand side of each clause's parity constraint: (negated literals + q) mod 2."""
+    return [(negated.bit_count() + q) & 1 for negated, q in zip(instance.negations, instance.occupations)]
+
+
 def build_linear_system(instance: Instance) -> LinearSystem:
     """Parity system of an instance: A[a, j] = 1 iff variable j occurs in clause a."""
     matrix = np.zeros((instance.m, instance.n), dtype=np.uint8)
-    rhs = np.zeros(instance.m, dtype=np.uint8)
-    for a, c in enumerate(instance.clauses):
-        for lit in c.literals:
-            matrix[a, lit.var] = 1
-        rhs[a] = (c.negation_count + c.q) % 2
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    clause_of = np.repeat(np.arange(instance.m), [len(clause_vars) for clause_vars in instance.variables])
+    matrix[clause_of, list(chain.from_iterable(instance.variables))] = 1
+    return LinearSystem(matrix=matrix, rhs=np.array(_parities(instance), dtype=np.uint8))
 
 
 def reduce_instance(instance: Instance):
@@ -102,15 +105,7 @@ def reduce_instance(instance: Instance):
     {expand_index(r, i)} has exactly 2^(n - m_prime) points and contains
     every satisfying assignment of the instance.
     """
-    rows = []
-    rhs = []
-    for c in instance.clauses:
-        row = 0
-        for lit in c.literals:
-            row |= 1 << lit.var
-        rows.append(row)
-        rhs.append((c.negation_count + c.q) % 2)
-    system = gf2.eliminate(rows, rhs, instance.n)
+    system = gf2.eliminate(instance.variable_masks, _parities(instance), instance.n)
     witness = system.witness()
     if witness is not None:
         return XorInfeasible(witness=tuple(witness), m_prime=system.rank)
@@ -182,13 +177,14 @@ def scan(instance: Instance, reduction: Reduction):
         np.bitwise_xor(planes[:, : 1 << b], flip[:, None], out=planes[:, 1 << b : 2 << b])
 
     by_occupation = defaultdict(list)
-    for c in instance.clauses:
-        by_occupation[c.p, c.q].append(c)
+    for clause_vars, negated, q in zip(instance.variables, instance.negations, instance.occupations):
+        by_occupation[len(clause_vars), q].append((clause_vars, negated))
     groups = []
-    for (p, q), clauses in sorted(by_occupation.items()):
+    for (p, q), members in sorted(by_occupation.items()):
+        clause_vars, negations = zip(*members)
         # Literal-major order, so the gathered planes reshape to (p, M, words).
-        variables = np.array([[lit.var for lit in c.literals] for c in clauses], dtype=np.intp).T.ravel()
-        negated = np.array([[lit.negated for lit in c.literals] for c in clauses], dtype=np.uint8).T.ravel()
+        variables = np.array(clause_vars, dtype=np.intp).T.ravel()
+        negated = np.array([neg >> j & 1 for j in range(p) for neg in negations], dtype=np.uint8)
         groups.append((p, q, variables, negated))
     initial = _ONES
     if any(q > p for p, q in by_occupation):

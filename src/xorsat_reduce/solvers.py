@@ -96,17 +96,10 @@ class _BacktrackRun:
             seen |= row
             determined[depth - 1] = determined[k] ^ seen
         self.checks = checks = [[] for _ in range(k + 1)]
-        for c in instance.clauses:
-            mask = negated = 0
-            depths = []
-            for lit in c.literals:
-                bit = 1 << lit.var
-                mask |= bit
-                if lit.negated:
-                    negated |= bit
-                depths.append(ready[lit.var])
-            depths.sort()
-            q, p = c.q, len(depths)
+        for clause_vars, mask, negated, q in zip(instance.variables, instance.variable_masks,
+                                                 instance.negated_masks, instance.occupations):
+            depths = sorted([ready[v] for v in clause_vars])
+            p = len(depths)
             # In depth order, `known` literals are determined at depths[known - 1]; each
             # depth's check comes at its last literal.
             for known, depth in enumerate(depths, 1):
@@ -180,9 +173,10 @@ def backtrack_count(instance: Instance, reduction) -> tuple[int, TreeStats]:
 def _clause_masks(instance: Instance) -> list[int]:
     """masks[v] has bit a set iff variable v occurs in clause a."""
     masks = [0] * instance.n
-    for a, c in enumerate(instance.clauses):
-        for lit in c.literals:
-            masks[lit.var] |= 1 << a
+    for a, clause_vars in enumerate(instance.variables):
+        bit = 1 << a
+        for v in clause_vars:
+            masks[v] |= bit
     return masks
 
 
@@ -242,7 +236,7 @@ def optimize_permutation(
         return reduction
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     masks = _clause_masks(instance)
-    clause_vars = [sum(1 << lit.var for lit in c.literals) for c in instance.clauses]
+    clause_vars = instance.variable_masks
     at_least_degree = _at_least_degree(masks)
     input_sel = list(sf.free)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import resource
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +23,11 @@ def reference_satisfies(instance, bits) -> bool:
         if true_count != cl.q:
             return False
     return True
+
+
+def limit_address_space():
+    """`preexec_fn` for a child process: 2 GiB of address space, set on that child only."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 def expand_rows(reduction, bits):

@@ -6,7 +6,6 @@ import argparse
 import hashlib
 import json
 import re
-import resource
 import subprocess
 import sys
 import time
@@ -17,6 +16,8 @@ import pytest
 from xorsat_reduce.cli import build_parser, main
 from xorsat_reduce.hamcycle import emit_graph, petersen_graph
 from xorsat_reduce.instances import parse_instance
+
+from conftest import limit_address_space
 
 CHAIN_TEXT = """\
 p occ 5 3 1
@@ -168,10 +169,6 @@ class TestSolveCount:
         assert "guard" in capsys.readouterr().err
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
 @pytest.mark.parametrize("command", ["solve", "count", "backtrack", "grover", "grover-cost"])
 def test_oversized_header_exits_3_under_a_memory_limit(tmp_path, command):
     """k = 199,999 free variables of n = 200,000: the dense basis (37 GiB) is refused, not built.
@@ -183,7 +180,7 @@ def test_oversized_header_exits_3_under_a_memory_limit(tmp_path, command):
     start = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "xorsat_reduce.cli", command, str(path)],
-        capture_output=True, text=True, preexec_fn=_limit_address_space, timeout=60,
+        capture_output=True, text=True, preexec_fn=limit_address_space, timeout=60,
     )
     assert result.returncode == 3, result.stderr
     assert "exceeds guard" in result.stderr and "Traceback" not in result.stderr

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from xorsat_reduce import instances
 from xorsat_reduce.errors import GenerationError, GuardExceeded, ParseError
+from xorsat_reduce.hamcycle import Graph, hc_to_occupation, random_regular_graph
 from xorsat_reduce.instances import (
     INDETERMINATE,
     Clause,
@@ -28,7 +33,7 @@ from xorsat_reduce.instances import (
 from xorsat_reduce.reduction import reduce_instance
 from xorsat_reduce.solvers import backtrack_count, count_enumerate
 
-from conftest import CHAIN_SOLUTIONS, reference_satisfies, reference_solutions
+from conftest import CHAIN_SOLUTIONS, limit_address_space, reference_satisfies, reference_solutions
 
 
 class TestModel:
@@ -298,6 +303,7 @@ class TestGeneratorStream:
            seed=st.integers(0, 2**64 - 1), pass_generator=st.booleans())
     @example(shape=(240, 240, 3, 1), negation_prob=0.5, seed=0, pass_generator=True)
     @example(shape=(240, 120, 4, 2), negation_prob=1.0, seed=7, pass_generator=True)
+    @example(shape=(20, 12, 10, 3), negation_prob=0.5, seed=5, pass_generator=True)  # two bytes of negations
     def test_same_instances_and_rng_state(self, shape, negation_prob, seed, pass_generator):
         make_rng = (lambda: np.random.default_rng(seed)) if pass_generator else (lambda: seed)
         first, second = _generate_both(*shape, negation_prob, make_rng)
@@ -424,3 +430,108 @@ class TestParseEmit:
             parse_instance(text)
         assert err.value.line == lineno
         assert fragment in str(err.value)
+
+
+def emit_corpus() -> list[Instance]:
+    """Generated locked instances (p 3 and 4) and HC instances of fixed cubic graphs.
+
+    The graphs include one with an isolated node (the marker instance), one
+    with a degree-one node (a q > p clause) and the empty and edgeless graphs.
+    """
+    corpus = [gen_locked_random(n, -(-2 * n // p) + extra, p, q, negation_prob, seed=seed)
+              for seed, (n, p, q, extra, negation_prob) in enumerate(
+                  [(9, 3, 1, 0, 0.5), (31, 3, 1, 0, 0.5), (46, 3, 1, 4, 0.789), (60, 3, 2, 9, 0.0),
+                   (22, 4, 2, 0, 0.5), (26, 4, 1, 3, 1.0), (40, 4, 3, 12, 0.5)])]
+    for nodes, seed in ((8, 2), (16, 0), (24, 5), (28, 11)):
+        cubic = random_regular_graph(nodes, 3, seed=seed)
+        corpus.append(hc_to_occupation(cubic))
+        corpus.append(hc_to_occupation(Graph(nodes + 1, cubic.edges)))  # plus an isolated node
+    corpus += [hc_to_occupation(Graph(3, ((0, 1), (1, 2)))), hc_to_occupation(Graph(0, ())),
+               hc_to_occupation(Graph(2, ()))]
+    return corpus
+
+
+def test_emitted_instances_are_pinned():
+    """Recorded before generation and the HC map filled the clause table directly."""
+    digest = hashlib.sha256()
+    for inst in emit_corpus():
+        digest.update(emit_instance(inst).encode())
+    assert digest.hexdigest() == "8bb6b8afa4f31eb983fa8e508caa40f6abf140d41abc0adb9814a2a4ba4af1a4"
+
+
+@st.composite
+def mixed_instances(draw):
+    """Clauses of 1 to 5 literals over shuffled variables, random negations, q from 1 to p + 1."""
+    n = draw(st.integers(1, 12))
+    clauses = []
+    for _ in range(draw(st.integers(0, 8))):
+        p = draw(st.integers(1, min(5, n)))
+        variables = draw(st.permutations(range(n)))[:p]
+        negated = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+        clauses.append(Clause(tuple(map(Literal, variables, negated)), draw(st.integers(1, p + 1))))
+    return Instance(n, tuple(clauses))
+
+
+class TestClauseTable:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=200)
+    @given(inst=mixed_instances())
+    def test_table_matches_its_view(self, inst):
+        """The constructor, the parser and a rebuild from the view give one table, and the
+        table, its cached masks and its view describe the same clauses."""
+        table = (inst.n, inst.variables, inst.negations, inst.occupations)
+        parsed = parse_instance(emit_instance(inst))
+        for other in (parsed, Instance(inst.n, inst.clauses)):
+            assert (other.n, other.variables, other.negations, other.occupations) == table
+            assert other == inst and hash(other) == hash(inst)
+            assert (other.m, other.alpha, other.clauses) == (inst.m, inst.alpha, inst.clauses)
+        view = parsed.clauses  # built from the table, not the constructor's objects
+        assert [tuple(lit.var for lit in c.literals) for c in view] == list(inst.variables)
+        assert [sum(lit.negated << j for j, lit in enumerate(c.literals)) for c in view] == list(inst.negations)
+        assert [c.q for c in view] == list(inst.occupations)
+        assert inst.variable_masks == tuple(sum(1 << lit.var for lit in c.literals) for c in view)
+        assert inst.negated_masks == tuple(sum(lit.negated << lit.var for lit in c.literals) for c in view)
+
+    def test_a_flipped_negation_is_another_instance(self, chain_instance):
+        first, *rest = chain_instance.clauses
+        flipped = Clause((Literal(first.literals[0].var, not first.literals[0].negated),
+                          *first.literals[1:]), first.q)
+        other = Instance(chain_instance.n, (flipped, *rest))
+        assert other != chain_instance and other.negations != chain_instance.negations
+
+    def test_producers_build_no_clause_objects(self, monkeypatch):
+        """The parser, the generator and the HC map fill the table alone; the view and the
+        n-bit masks wait for a reader."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a producer built a clause object")
+
+        monkeypatch.setattr(instances, "Clause", refuse)
+        monkeypatch.setattr(instances, "Literal", refuse)
+        produced = [parse_instance(CHAIN_TEXT), gen_locked_random(30, 20, 3, 1, seed=4),
+                    hc_to_occupation(random_regular_graph(10, 3, seed=1)), hc_to_occupation(Graph(3, ()))]
+        for inst in produced:
+            assert {"clauses", "variable_masks", "negated_masks"}.isdisjoint(vars(inst))
+
+    def test_instances_are_read_only(self, chain_instance):
+        with pytest.raises(AttributeError):
+            chain_instance.n = 7
+
+
+PARSE_WIDE = """
+import time
+from xorsat_reduce.instances import parse_instance
+
+text = "p occ 1000000000 20 1\\n" + "".join(f"{1000000000 - i} 0\\n" for i in range(20))
+start = time.perf_counter()
+inst = parse_instance(text)
+print(inst.m, time.perf_counter() - start)
+"""
+
+
+def test_parse_allocates_nothing_n_wide():
+    """One-literal clauses on the last of 10^9 variables parse at once in 2 GiB: the parser
+    builds no n-bit mask (each would be 125 MB)."""
+    result = subprocess.run([sys.executable, "-c", PARSE_WIDE], capture_output=True, text=True,
+                            preexec_fn=limit_address_space, timeout=60)
+    assert result.returncode == 0, result.stderr
+    m, seconds = result.stdout.split()
+    assert int(m) == 20 and float(seconds) < 1.0

@@ -6,9 +6,15 @@ int() and str.split() accept or reject in surprising ways: `-0`, `1_0`,
 20-digit numbers, NUL, CR, a non-breaking space, a Unicode line
 separator and a non-ASCII digit. Parsed instances are not reduced here:
 a header may declare an n whose parity rows could not be allocated.
+A seeded corpus from the same pieces, plus hand cases, pins the outcome
+of every document: the instance it parses to, or the line and message of
+its ParseError.
 """
 
 from __future__ import annotations
+
+import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +22,7 @@ from hypothesis import strategies as st
 
 from xorsat_reduce.errors import ParseError
 from xorsat_reduce.hamcycle import parse_graph
-from xorsat_reduce.instances import parse_instance
+from xorsat_reduce.instances import emit_instance, parse_instance
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None, max_examples=250)
 
@@ -49,3 +55,89 @@ def test_parse_returns_or_raises_parse_error(parse, text):
         parse(text)
     except ParseError:
         pass
+
+
+# Orders and spellings a parser rewrite can break: which error a line with
+# several faults reports, and what int() accepts.
+HAND_CASES = [
+    "p occ 2 1 1\n1 9 x 0\n",  # out-of-range literal before a bad token
+    "p occ 2 1 1\n1 x 9 0\n",  # bad token before an out-of-range literal
+    "p occ 3 1 1\n1 1 7 0\n",  # repeated variable, then an out-of-range literal
+    "p occ 3 1 1\n2 -2 0\n",
+    "p occ 3 1 1\n1 0 2 0\n",
+    "p occ 3 1 1\n0 9 0\n",
+    "p occ 3 1 1\n1 -0 0\n",
+    "p occ 3 1 1\n1 2 -0\n",
+    "p occ 12 1 1\n1_0 1 0\n",
+    "p occ 3 1 1\n1_0 1 0\n",
+    "p occ 3 1 1\n+2 -3 0\n",
+    "p occ 3 1 1\n\u0661 -\u0663 0\n",
+    "p occ 3 1 1\nq=\u0662 1 2 0\n",
+    "p occ 3 1 1\nq=2 0\n",  # q= before an empty body
+    "p occ 3 1 1\nq= 0\n",
+    "p occ 3 1 1\nq=2\n",
+    "p occ 3 1 1\nq=0 0\n",
+    "p occ 3 1 1\nq=-1 x 0\n",
+    "p occ 3 1 1\nq=x 1 0\n",
+    "p occ 3 1 1\nq=+2 1 2 0\n",
+    "p occ 3 1 1\nq=99999999999999999999 1 0\n",
+    "p occ 3 2 2\nq=2 1 2 0\n-3 0\n",
+    "p occ 3 2 2\n1 -2 0\nq=1 3 0\n",
+    "p occ 3 1 +1\n1 0\n",
+    "p occ 1_0 1 1\n10 0\n",
+    "p occ -0 0 1\n",
+    "p occ 3 1 0\n1 0\n",
+    "pocc 3 1 1\n1 0\n",
+    "p occ 3 1 1 1\n1 0\n",
+    "p occ 3 x 1\n",
+    "1 0\np occ 3 1 1\n",
+    "p occ 3 1 1\n1 0\np occ 3 1 1\n",
+    "p occ 3 2 1\n1 0\n",
+    "p occ 3 0 1\n1 0\n",
+    "p occ 3 1 1\n  c indented comment\ncomment\n -1   2\t0 \n",
+    "p occ 3 1 1\r\n1 -2 3 0\r\n",
+    "p occ 3 1 1\n1\x002 0\n",
+    "p occ 3 1 1\n1\u00a02 0\n",
+    "p occ 3 1 1\n1\u20282 0\n",
+    "",
+    "\n\n",
+]
+
+
+def parse_corpus(count: int = 3000, seed: int = 20261019) -> list[str]:
+    """The hand cases, then `count` seeded documents built from the fuzzer's pieces.
+
+    Half of the documents start with a header that declares their line
+    count, and half of the soup lines end in the `0` terminator, so that
+    many reach the literal checks and some parse.
+    """
+    rng = random.Random(seed)
+    documents = list(HAND_CASES)
+    for _ in range(count):
+        lines = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.4:
+                lines.append(rng.choice(LINES))
+            else:
+                tokens = [rng.choice(TOKENS) for _ in range(rng.randint(0, 5))]
+                lines.append(" ".join(tokens + ["0"] * (rng.random() < 0.5)))
+        header = rng.choice(HEADERS) if rng.random() < 0.5 else f"p occ 3 {len(lines)} {rng.randint(1, 2)}"
+        documents.append(rng.choice(SEPARATORS).join([header, *lines]))
+    return documents
+
+
+def parse_digest(documents) -> str:
+    """sha256 over each document's outcome: the emitted instance, or the ParseError's line and message."""
+    digest = hashlib.sha256()
+    for text in documents:
+        try:
+            outcome = emit_instance(parse_instance(text))
+        except ParseError as err:
+            outcome = repr((err.line, err.message))
+        digest.update(outcome.encode() + b"\x1e")
+    return digest.hexdigest()
+
+
+def test_parse_outcomes_are_pinned():
+    """Recorded before the parser filled the clause table directly."""
+    assert parse_digest(parse_corpus()) == "42d603280e96ec2389c598f236dcfa83f0956858f73e6a10dde4bc1a2d603e29"

@@ -65,3 +65,15 @@ def test_no_blas_backed_numpy_calls():
         and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert found == []
+
+
+def test_only_the_instance_module_walks_clause_objects():
+    """Every stage reads the clause table; `Clause`/`Literal` are the constructor's input and a view."""
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in package_sources()
+        if path.name != "instances.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in {"clauses", "literals"}
+    ]
+    assert found == []
