@@ -4,10 +4,13 @@ Matrices and vectors cross the API as numpy uint8 arrays with entries in
 {0, 1}. Inside, each row is one Python int with bit c holding column c,
 so a row operation is one XOR. Every elimination runs `_gauss_jordan`:
 its pivot rule -- leftmost eligible column (or the caller's column
-order), first eligible row, swapped up -- makes rank, kernel and
-standard-form outputs deterministic for a given input. `eliminate`
-reduces a system [A | b | I] once; its rank, RREF standard form and
-inconsistency witness are all read off that one pass.
+order), first eligible row, swapped up -- makes row-reduce, kernel and
+standard-form outputs deterministic for a given input. It is a forward
+pass, which XORs each pivot only into the rows below it, then one
+back-substitution from the last pivot row up. `eliminate` reduces a
+system [A | b | I] once; its rank, RREF standard form and inconsistency
+witness are all read off that one elimination. `rank` keeps its own
+echelon basis keyed by each row's leading bit and needs no pivot order.
 """
 
 from __future__ import annotations
@@ -60,10 +63,14 @@ def _unpack(rows: list[int], width: int) -> np.ndarray:
 def _gauss_jordan(rows: list[int], columns) -> list[int]:
     """Reduce packed rows in place, pivoting on `columns` in order; returns the pivot columns.
 
-    For each column, the first row at or below the next pivot row that
-    has the column's bit is swapped up and XORed out of every other row;
-    a column no such row has is skipped. With columns = range(c) the
-    result is the RREF restricted to pivots among the first c columns.
+    Forward pass: for each column, the first row at or below the next
+    pivot row that has the column's bit is swapped up and XORed into the
+    rows below it that have the bit (the rows it passed over lack it); a
+    column no such row has is skipped. Back-substitution, once, from the
+    last pivot row up: each pivot row is cleared of the later pivots'
+    bits by one XOR per bit with that pivot's finished row. With
+    columns = range(c) the result is the RREF restricted to pivots among
+    the first c columns.
     """
     pivots: list[int] = []
     top = 0
@@ -79,10 +86,25 @@ def _gauss_jordan(rows: list[int], columns) -> list[int]:
             continue
         pivot = rows[i]
         rows[i] = rows[top]
-        rows[:] = [row ^ pivot if row & bit else row for row in rows]
         rows[top] = pivot
+        for j in range(i + 1, count):
+            if rows[j] & bit:
+                rows[j] ^= pivot
         pivots.append(col)
         top += 1
+    later = 0  # the pivot bits of the rows below the current one
+    finished: dict[int, int] = {}  # pivot bit -> its fully reduced row
+    for t in range(top - 1, -1, -1):
+        row = rows[t]
+        held = row & later
+        while held:
+            low = held & -held
+            row ^= finished[low]
+            held ^= low
+        rows[t] = row
+        bit = 1 << pivots[t]
+        finished[bit] = row
+        later |= bit
     return pivots
 
 

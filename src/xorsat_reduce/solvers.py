@@ -17,6 +17,9 @@ from . import gf2
 from .instances import Instance
 from .reduction import Reduction, XorInfeasible, expand_index, reduce_instance, scan
 
+# Most entries drawn at once for the climb's random column orders.
+_ORDER_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class SolveOutcome:
@@ -244,13 +247,14 @@ def optimize_permutation(
     candidates = {
         tuple(sorted(input_sel)): (_coverage(masks, input_sel), dict(zip(input_sel, sf.rows)))
     }
+    orders = _random_orders(rng, n, trials - 1)
     for trial in range(trials):
         rows = list(sf.rows)
         if trial == 0:
             sel = list(input_sel)
         else:
             # A random column order; its pivots are a uniform-ish random full-rank block.
-            sel = gf2._gauss_jordan(rows, rng.permutation(n).tolist())
+            sel = gf2._gauss_jordan(rows, next(orders))
         score = _climb(masks, clause_vars, at_least_degree, sel, rows)
         key = tuple(sorted(sel))
         if key not in candidates:
@@ -265,6 +269,20 @@ def optimize_permutation(
     return reduction.with_standard(
         gf2.reduced_standard_form(order, [rows[v] for v in order], sf.point, n)
     )
+
+
+def _random_orders(rng: np.random.Generator, n: int, count: int):
+    """`count` random orders of range(n), as lists: those of `count` rng.permutation(n) calls.
+
+    They leave the generator in the same state as those calls. Orders are
+    drawn in chunks of at most _ORDER_BLOCK entries, so a large count
+    never allocates count x n at once.
+    """
+    per_chunk = max(1, _ORDER_BLOCK // n)
+    while count:
+        chunk = min(count, per_chunk)
+        yield from rng.permuted(np.tile(np.arange(n), (chunk, 1)), axis=1).tolist()
+        count -= chunk
 
 
 def _readiness_penalty(sel, rows) -> int:

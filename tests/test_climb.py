@@ -13,6 +13,7 @@ climb that scored them all.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from xorsat_reduce import gf2
 from xorsat_reduce.errors import GenerationError
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
-from xorsat_reduce.solvers import _at_least_degree, _climb, optimize_permutation
+from xorsat_reduce.solvers import _ORDER_BLOCK, _at_least_degree, _climb, _random_orders, optimize_permutation
 
 from conftest import dense_standard, dense_standard_form, pack_space, standard_form_on
 
@@ -177,6 +178,16 @@ def test_climb_matches_the_dense_reference_on_locked_instances(problem, n, seed,
     reduction = reduce_instance(instance)
     assume(not isinstance(reduction, XorInfeasible))
     assert_same_climb(instance, reduction, trials, seed)
+
+
+@pytest.mark.parametrize("n, count", [(30, 5000), (_ORDER_BLOCK + 3, 2), (24, 0)])
+def test_batched_orders_are_the_per_trial_draws(n, count):
+    """Across chunk boundaries too: the same orders, and the generator left in the same state."""
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    got = list(_random_orders(got_rng, n, count))
+    want = [want_rng.permutation(n).tolist() for _ in range(count)]
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_at_most_one_standard_form_per_call(monkeypatch):

@@ -1,6 +1,7 @@
 """GF(2) linear algebra: examples with brute-force oracles, invariant sweeps,
-hypothesis property tests, and a byte-for-byte differential test against a
-copy of the dense numpy elimination the packed-row core replaced."""
+hypothesis property tests, and byte-for-byte differential tests against a
+copy of the dense numpy elimination the packed-row core replaced and a copy
+of the packed elimination that XORed each pivot into every other row."""
 
 from __future__ import annotations
 
@@ -546,3 +547,92 @@ def test_reduce_instance_matches_dense_reference(inst):
     assert_same_array(got.offset, offset)
     assert got.m_prime == m_prime and type(got.m_prime) is int
     assert_same_standard_form(got.standard, standard)
+
+
+def every_row_gauss_jordan(rows: list[int], columns) -> list[int]:
+    """The packed elimination before the forward pass: each pivot is XORed into every other row."""
+    pivots: list[int] = []
+    top = 0
+    count = len(rows)
+    for col in columns:
+        if top == count:
+            break
+        bit = 1 << col
+        for i in range(top, count):
+            if rows[i] & bit:
+                break
+        else:
+            continue
+        pivot = rows[i]
+        rows[i] = rows[top]
+        rows[:] = [row ^ pivot if row & bit else row for row in rows]
+        rows[top] = pivot
+        pivots.append(col)
+        top += 1
+    return pivots
+
+
+def assert_same_elimination(rows, columns):
+    got_rows, want_rows = list(rows), list(rows)
+    got = gf2._gauss_jordan(got_rows, columns)
+    want = every_row_gauss_jordan(want_rows, columns)
+    assert got == want
+    assert got_rows == want_rows
+
+
+def tracked_system(rows, rhs, n) -> list[int]:
+    """The packed rows [A | b | I] of A's packed rows and b, as `gf2.eliminate` builds them."""
+    return [row | b << n | 1 << (n + 1 + i) for i, (row, b) in enumerate(zip(rows, rhs))]
+
+
+@st.composite
+def packed_eliminations(draw):
+    """Packed rows and a column sequence: 0-40 rows of 0-90 bits, or [A | b | I] systems.
+
+    Rows are zero, all ones, sparse or any; some are duplicated, so
+    systems are often rank-deficient, and with [A | b | I] rows often
+    inconsistent. Columns run in order, permuted, as a subsequence, or
+    drawn with repeats; the in-order and drawn ones reach past the width.
+    """
+    width = draw(st.integers(0, 90))
+    full = (1 << width) - 1
+    sparse = st.lists(st.integers(0, max(width - 1, 0)), max_size=4, unique=True).map(
+        lambda bits: sum(1 << b for b in bits) & full)
+    rows = draw(st.lists(st.one_of(st.just(0), st.just(full), sparse, st.integers(0, full)), max_size=40))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), min_size=1, max_size=5))
+        rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rhs = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        rows = tracked_system(rows, rhs, width)
+    kind = draw(st.sampled_from(["range", "permutation", "subsequence", "repeats"]))
+    if kind == "range":
+        columns = range(width + draw(st.integers(0, 5)))
+    elif kind == "permutation":
+        columns = draw(st.permutations(range(width)))
+    elif kind == "subsequence":
+        keep = draw(st.integers(0, full))
+        columns = [c for c in range(width) if keep >> c & 1]
+    else:
+        columns = draw(st.lists(st.integers(0, width + 8), max_size=2 * width + 4))
+    return rows, columns
+
+
+@settings(max_examples=500, **SETTINGS)
+@given(packed_eliminations())
+def test_forward_pass_matches_the_every_row_elimination(case):
+    assert_same_elimination(*case)
+
+
+LARGE_INSTANCES = {
+    "locked-1in3-n1000": lambda: gen_locked_random(1000, 667, 3, 1, seed=1),
+    "path-V1000": lambda: hc_to_occupation(Graph(1000, tuple((v, v + 1) for v in range(999)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_INSTANCES))
+def test_large_parity_system_matches_the_every_row_elimination(name):
+    inst = LARGE_INSTANCES[name]()
+    system = build_linear_system(inst)
+    rows = tracked_system(gf2._pack(system.matrix), system.rhs.tolist(), inst.n)
+    assert_same_elimination(rows, range(inst.n))

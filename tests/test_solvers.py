@@ -201,7 +201,7 @@ class TestBacktrack:
         The reduction is built by hand (kernel rows e_2i + e_2i+1, free block
         the even coordinates, offset and point the odd ones) and serves as
         both basis and standard form, because `reduce_instance` takes
-        0.7-1 s at n = 3000, several times as long as the whole test.
+        0.5-0.6 s at n = 3000, about twice as long as the whole test.
         """
         k = 1500
         n = 2 * k
