@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -186,14 +187,7 @@ def cmd_grover_cost(args) -> int:
     else:
         worst = 1 << (instance.n - outcome.m_prime)
         record["query_cost_count_worst_case"] = query_cost_count(instance.n, outcome.m_prime, worst)
-    record.update(
-        ancillas=report.ancillas,
-        gates_module_i=report.gates_module_i,
-        gates_module_ii=report.gates_module_ii,
-        gates_module_iii=report.gates_module_iii,
-        gates_module_iv=report.gates_module_iv,
-        total_gates=report.total_gates,
-    )
+    record.update(asdict(report), total_gates=report.total_gates)
     _emit_record(args, record)
     return 0
 

@@ -1,8 +1,12 @@
 """Linear algebra over GF(2) on packed rows.
 
-Matrices and vectors cross the API as numpy uint8 arrays with entries in
-{0, 1}. Inside, each row is one Python int with bit c holding column c,
-so a row operation is one XOR. Every elimination runs `_gauss_jordan`:
+Inside, each row is one Python int with bit c holding column c, so a
+row operation is one XOR. The dense functions (`row_reduce`, `rank`,
+`matvec`, `kernel_basis`, `solve_particular`, `inconsistency_witness`,
+`inverse`) take and return numpy uint8 arrays with entries in {0, 1}.
+The packed ones take those ints: `eliminate` (and its `Elimination`),
+`standard_form`, `reduced_standard_form` and `StandardForm`, whose
+`expand` returns a uint8 assignment. Every elimination runs `_gauss_jordan`:
 its pivot rule -- leftmost eligible column (or the caller's column
 order), first eligible row, swapped up -- makes row-reduce, kernel and
 standard-form outputs deterministic for a given input. It is a forward

@@ -143,7 +143,7 @@ def grover_search_known(
     total = 1 << k
     if not 1 <= v_count <= total:
         raise ValueError(f"marked count {v_count} not in [1, {total}]")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     iterations = int(math.pi / 4 * math.sqrt(total / v_count))
     mask = spec.marked_mask
     marked = int(np.count_nonzero(mask))
@@ -190,7 +190,7 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
     instance is declared Unsat. Queries counts oracle applications.
     """
     k = spec.free_count
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     artificial = spec.artificial_marked if spec.artificial_marked is not None else 0
     solution_mask = spec.solution_mask
     marked_indices = np.union1d(np.flatnonzero(solution_mask), [artificial])

@@ -217,59 +217,49 @@ def petersen_graph() -> Graph:
     return Graph(10, tuple(outer + spokes + inner))
 
 
-def random_regular_graph(
-    n: int, degree: int = 3, seed: int | np.random.Generator = 0, connected: bool = True
-) -> Graph:
-    """Random simple `degree`-regular graph via stub pairing with rejection."""
+def _connected_simple_graph(n_nodes: int, draw_edges, failure: str) -> Graph:
+    """Rejection loop: the first draw without a self-loop or a repeated edge that is connected.
+
+    `draw_edges()` returns one draw's edges; a bad edge ends the draw
+    before the rest of it is read.
+    """
+    for _ in range(_GENERATOR_ATTEMPTS):
+        edges = set()
+        for u, v in draw_edges():
+            edge = (min(u, v), max(u, v))
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            graph = Graph(n_nodes, tuple(sorted(edges)))
+            if is_connected(graph):
+                return graph
+    raise GenerationError(failure)
+
+
+def random_regular_graph(n: int, degree: int = 3, seed: int | np.random.Generator = 0) -> Graph:
+    """Random simple connected `degree`-regular graph via stub pairing with rejection."""
     if n * degree % 2 or degree >= n:
         raise ValueError(f"no {degree}-regular graph on {n} nodes")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(_GENERATOR_ATTEMPTS):
-        order = rng.permutation(stubs)
-        pairs = order.reshape(-1, 2)
-        edges = set()
-        simple = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v or (min(u, v), max(u, v)) in edges:
-                simple = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if not simple:
-            continue
-        graph = Graph(n, tuple(sorted(edges)))
-        if not connected or is_connected(graph):
-            return graph
-    raise GenerationError(f"no simple {degree}-regular graph found for n={n}")
+    return _connected_simple_graph(n, lambda: rng.permutation(stubs).reshape(-1, 2).tolist(),
+                                   f"no simple {degree}-regular graph found for n={n}")
 
 
-def random_bipartite_regular_graph(
-    half: int, degree: int = 3, seed: int | np.random.Generator = 0, connected: bool = True
-) -> Graph:
-    """Random (degree, degree)-regular bipartite graph as a union of perfect matchings."""
+def random_bipartite_regular_graph(half: int, degree: int = 3, seed: int | np.random.Generator = 0) -> Graph:
+    """Random connected (degree, degree)-regular bipartite graph as a union of perfect matchings."""
     if degree > half:
         raise ValueError(f"degree {degree} exceeds side size {half}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(_GENERATOR_ATTEMPTS):
-        edges = set()
-        simple = True
+    rng = np.random.default_rng(seed)
+
+    def matchings():  # lazy: a repeated edge ends the draw before the next matching is drawn
         for _ in range(degree):
-            matching = rng.permutation(half)
-            for i in range(half):
-                edge = (i, half + int(matching[i]))
-                if edge in edges:
-                    simple = False
-                    break
-                edges.add(edge)
-            if not simple:
-                break
-        if not simple:
-            continue
-        graph = Graph(2 * half, tuple(sorted(edges)))
-        if not connected or is_connected(graph):
-            return graph
-    raise GenerationError(f"no simple ({degree},{degree})-bipartite graph for half={half}")
+            for i, j in enumerate(rng.permutation(half).tolist()):
+                yield i, half + j
+
+    return _connected_simple_graph(2 * half, matchings,
+                                   f"no simple ({degree},{degree})-bipartite graph for half={half}")
 
 
 def parse_graph(text: str) -> Graph:

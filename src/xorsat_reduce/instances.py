@@ -247,7 +247,7 @@ def gen_locked_random(
         raise GenerationError(
             f"cannot lock {n} variables with {m} clauses of {p} literals ({p * m} slots < {2 * n})"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     for _ in range(_GENERATION_RESTARTS):
         clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]

@@ -60,7 +60,6 @@ class XorInfeasible:
 @dataclass(frozen=True, eq=False)
 class Reduction:
     basis: StandardForm  # RREF kernel rows on the non-pivot columns, through the particular solution
-    m_prime: int  # number of independent parity rows (= n - k)
     standard: StandardForm  # the form backtracking walks
 
     @property
@@ -70,6 +69,10 @@ class Reduction:
     @property
     def free_count(self) -> int:
         return self.basis.free_count
+
+    @property
+    def m_prime(self) -> int:  # number of independent parity rows (= n - k)
+        return self.n - self.free_count
 
     @property
     def kernel(self) -> np.ndarray:  # (k, n) uint8, the basis rows
@@ -113,11 +116,7 @@ def reduce_instance(instance: Instance):
     if size > REDUCE_MAX_BITS:
         raise GuardExceeded("reduced-space basis size k*n", size, REDUCE_MAX_BITS)
     basis = system.basis()
-    return Reduction(
-        basis=basis,
-        m_prime=system.rank,
-        standard=gf2.standard_form(basis.rows, basis.point, basis.n),
-    )
+    return Reduction(basis=basis, standard=gf2.standard_form(basis.rows, basis.point, basis.n))
 
 
 def expand_index(reduction: Reduction, index: int) -> np.ndarray:

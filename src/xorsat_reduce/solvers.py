@@ -237,7 +237,7 @@ def optimize_permutation(
     k, n = sf.free_count, sf.n
     if k == 0 or k == n:
         return reduction
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     masks = _clause_masks(instance)
     clause_vars = instance.variable_masks
     at_least_degree = _at_least_degree(masks)

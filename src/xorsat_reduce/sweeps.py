@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,60 +76,52 @@ def _sample_seeds(base_seed: int, n: int, sample: int):
     return fingerprint, gen_ss, opt_ss
 
 
-def _kernel_sample(task) -> dict:
-    config, n, sample = task
+def _generate(config: SweepConfig, n: int, gen_ss):
     p, q = config.arity
-    fingerprint, gen_ss, _ = _sample_seeds(config.seed, n, sample)
-    base = dict(kind="sample", problem=config.problem, n=n, alpha=config.alpha,
-                sample=sample, seed=fingerprint)
-    try:
-        inst = gen_locked_random(
-            n, config.clause_count(n), p, q, config.negation_prob,
-            seed=np.random.Generator(np.random.PCG64(gen_ss)),
-        )
-    except GenerationError as err:
-        return dict(base, kind="failure", error=str(err))
-    m_prime = gf2.rank(build_linear_system(inst).matrix)
-    return dict(base, m=inst.m, m_prime=m_prime, k=n - m_prime, delta_k=inst.m - m_prime)
+    return gen_locked_random(n, config.clause_count(n), p, q, config.negation_prob,
+                             seed=np.random.default_rng(gen_ss))
 
 
-def _tree_sample(task) -> dict:
+def _sample(measure, task) -> dict:
+    """One sample row: `measure(config, instance, opt_ss)` gives m_prime and the sweep's own columns."""
     config, n, sample = task
-    p, q = config.arity
     fingerprint, gen_ss, opt_ss = _sample_seeds(config.seed, n, sample)
-    base = dict(kind="sample", problem=config.problem, n=n, alpha=config.alpha,
-                sample=sample, seed=fingerprint)
+    row = dict(kind="sample", problem=config.problem, n=n, alpha=config.alpha,
+               sample=sample, seed=fingerprint)
     try:
-        inst = gen_locked_random(
-            n, config.clause_count(n), p, q, config.negation_prob,
-            seed=np.random.Generator(np.random.PCG64(gen_ss)),
-        )
+        inst = _generate(config, n, gen_ss)
     except GenerationError as err:
-        return dict(base, kind="failure", error=str(err))
+        return dict(row, kind="failure", error=str(err))
+    m_prime, measured = measure(config, inst, opt_ss)
+    return dict(row, m=inst.m, m_prime=m_prime, k=n - m_prime, delta_k=inst.m - m_prime, **measured)
+
+
+def _kernel_measure(config, inst, opt_ss):
+    return gf2.rank(build_linear_system(inst).matrix), {}
+
+
+def _tree_measure(config, inst, opt_ss):
     outcome = reduce_instance(inst)
-    m_prime = outcome.m_prime
-    k = n - m_prime
-    stats = dict(base, m=inst.m, m_prime=m_prime, k=k, delta_k=inst.m - m_prime)
     if isinstance(outcome, XorInfeasible):
-        return dict(stats, solutions=0, tree_nodes=0, tree_nodes_unoptimized=0)
-    if k > SWEEP_MAX_FREE:
-        return dict(stats, kind="guard_skip")
+        return outcome.m_prime, dict(solutions=0, tree_nodes=0, tree_nodes_unoptimized=0)
+    if outcome.free_count > SWEEP_MAX_FREE:
+        return outcome.m_prime, dict(kind="guard_skip")
     count, raw_tree = backtrack_count(inst, outcome)
     tree_nodes = raw_tree.total_nodes
     if config.perm_trials > 0:
-        optimized = optimize_permutation(
-            inst, outcome, trials=config.perm_trials,
-            seed=np.random.Generator(np.random.PCG64(opt_ss)),
-        )
+        optimized = optimize_permutation(inst, outcome, trials=config.perm_trials,
+                                         seed=np.random.default_rng(opt_ss))
         opt_count, opt_tree = backtrack_count(inst, optimized)
         tree_nodes = opt_tree.total_nodes
         if opt_count != count:
             raise RuntimeError(f"permutation changed the solution count: {count} -> {opt_count}")
-    return dict(stats, solutions=count, tree_nodes=tree_nodes,
-                tree_nodes_unoptimized=raw_tree.total_nodes)
+    return outcome.m_prime, dict(solutions=count, tree_nodes=tree_nodes,
+                                 tree_nodes_unoptimized=raw_tree.total_nodes)
 
 
-def _run(config: SweepConfig, worker) -> list[dict]:
+def _sweep(config: SweepConfig, measure, statistics) -> tuple[list[dict], list[dict]]:
+    """Sample rows ordered by (n, sample), then one summary per n: counts plus `statistics(n, good, rows)`."""
+    worker = partial(_sample, measure)
     tasks = [(config, n, s) for n in config.n_list for s in range(config.samples)]
     # The pool forks all its workers at the first submit, so more than one
     # per task or per core would only cost processes.
@@ -143,50 +136,45 @@ def _run(config: SweepConfig, worker) -> list[dict]:
     else:
         rows = [worker(t) for t in tasks]
     rows.sort(key=lambda r: (r["n"], r["sample"]))
-    return rows
+    summaries = []
+    for n in config.n_list:
+        of_n = [r for r in rows if r["n"] == n]
+        good = [r for r in of_n if r["kind"] == "sample"]
+        summaries.append(dict(kind="summary", problem=config.problem, n=n, alpha=config.alpha,
+                              samples=len(good), failures=sum(r["kind"] == "failure" for r in of_n),
+                              **statistics(n, good, of_n)))
+    return rows, summaries
+
+
+def _kernel_statistics(n, good, rows) -> dict:
+    ratios = [r["delta_k"] / n for r in good]
+    return dict(
+        mean_delta_k_per_n=float(np.mean(ratios)) if ratios else math.nan,
+        min_delta_k_per_n=min(ratios, default=math.nan),
+        max_delta_k_per_n=max(ratios, default=math.nan),
+        max_delta_k=max((r["delta_k"] for r in good), default=0),
+    )
+
+
+def _sqrt_t_and_gamma(sizes: list[int], n: int) -> tuple[float, float]:
+    if not sizes:
+        return math.nan, math.nan
+    return float(np.mean(np.sqrt(sizes))), gamma_estimate(sizes, n) if max(sizes) > 0 else math.nan
+
+
+def _tree_statistics(n, good, rows) -> dict:
+    mean_sqrt_t, gamma = _sqrt_t_and_gamma([r["tree_nodes"] for r in good], n)
+    raw_mean_sqrt_t, raw_gamma = _sqrt_t_and_gamma([r["tree_nodes_unoptimized"] for r in good], n)
+    return dict(guard_skips=sum(r["kind"] == "guard_skip" for r in rows),
+                mean_sqrt_t=mean_sqrt_t, gamma=gamma,
+                mean_sqrt_t_unoptimized=raw_mean_sqrt_t, gamma_unoptimized=raw_gamma)
 
 
 def kernel_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     """Per-sample kernel-excess records plus per-n summaries of delta_k / n."""
-    rows = _run(config, _kernel_sample)
-    summaries = []
-    for n in config.n_list:
-        good = [r for r in rows if r["n"] == n and r["kind"] == "sample"]
-        failures = sum(1 for r in rows if r["n"] == n and r["kind"] == "failure")
-        ratios = [r["delta_k"] / n for r in good]
-        summaries.append(
-            dict(
-                kind="summary", problem=config.problem, n=n, alpha=config.alpha,
-                samples=len(good), failures=failures,
-                mean_delta_k_per_n=float(np.mean(ratios)) if ratios else float("nan"),
-                min_delta_k_per_n=min(ratios) if ratios else float("nan"),
-                max_delta_k_per_n=max(ratios) if ratios else float("nan"),
-                max_delta_k=max((r["delta_k"] for r in good), default=0),
-            )
-        )
-    return rows, summaries
+    return _sweep(config, _kernel_measure, _kernel_statistics)
 
 
 def tree_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
     """Per-sample decision-tree records plus per-n gamma summaries."""
-    rows = _run(config, _tree_sample)
-    summaries = []
-    for n in config.n_list:
-        good = [r for r in rows if r["n"] == n and r["kind"] == "sample"]
-        skips = sum(1 for r in rows if r["n"] == n and r["kind"] == "guard_skip")
-        failures = sum(1 for r in rows if r["n"] == n and r["kind"] == "failure")
-        sizes = [r["tree_nodes"] for r in good]
-        raw_sizes = [r["tree_nodes_unoptimized"] for r in good]
-        summaries.append(
-            dict(
-                kind="summary", problem=config.problem, n=n, alpha=config.alpha,
-                samples=len(good), failures=failures, guard_skips=skips,
-                mean_sqrt_t=float(np.mean(np.sqrt(sizes))) if sizes else float("nan"),
-                gamma=gamma_estimate(sizes, n) if sizes and max(sizes) > 0 else float("nan"),
-                mean_sqrt_t_unoptimized=float(np.mean(np.sqrt(raw_sizes))) if raw_sizes else float("nan"),
-                gamma_unoptimized=(
-                    gamma_estimate(raw_sizes, n) if raw_sizes and max(raw_sizes) > 0 else float("nan")
-                ),
-            )
-        )
-    return rows, summaries
+    return _sweep(config, _tree_measure, _tree_statistics)

@@ -372,6 +372,34 @@ def test_sweep_csv_bytes_are_pinned(capsys, tmp_path, argv, digest, threads):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of sweep CSVs whose rows are the edge cases: generation failures with all-nan
+# summaries, guard skips, and an XOR-infeasible tree sample (n = 12, sample 0 of the second).
+# Recorded before the two sweeps shared one sample path.
+SWEEP_EDGE_DIGESTS = [
+    pytest.param(["sweep-kernel", "--n-list", "12", "--alpha", "0.5", "--samples", "2"],
+                 {"failure", "summary"}, "12a959dc1a8a0ecc78c509d5109aaa3bc13367cb88d476c839aa82928e3c907c",
+                 id="kernel-failures"),
+    pytest.param(["sweep-tree", "--n-list", "12,150", "--alpha", "0.7", "--samples", "2", "--perm-trials", "2"],
+                 {"sample", "guard_skip", "summary"},
+                 "90efe99e1efadeb1522dca290ac5a5f454e9efcbfeaf4d6a5f16b8fa22dfe575", id="tree-infeasible-skips"),
+    pytest.param(["sweep-tree", "--problem", "custom", "--p", "4", "--q", "2", "--n-list", "10", "--alpha", "0.4",
+                  "--samples", "2"],
+                 {"failure", "summary"}, "0fc605fdaecae8a330de25e383b12ac7de4678163637c9d1aa83fe9ed7bf9deb",
+                 id="tree-failures"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(("argv", "kinds", "digest"), SWEEP_EDGE_DIGESTS)
+def test_sweep_edge_rows_are_pinned(capsys, tmp_path, argv, kinds, digest, threads):
+    out = tmp_path / "sweep.csv"
+    code, _ = run(capsys, *argv, "--threads", threads, "--out", str(out))
+    assert code == 0
+    rows = out.read_text().splitlines()[2:]
+    assert {row.split(",")[0] for row in rows} == kinds and "nan" in rows[-1]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "0"],
     ["sweep-tree", "--n-list", "10", "--alpha", "-1"],

@@ -155,7 +155,7 @@ def kernel_reductions(draw):
     for _ in range(draw(st.integers(0, 40))):
         variables = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
         clauses.append(Clause(tuple(Literal(v, False) for v in variables), 1))
-    reduction = Reduction(basis=basis, m_prime=n - k, standard=standard)
+    reduction = Reduction(basis=basis, standard=standard)
     return Instance(n, tuple(clauses)), reduction
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -259,6 +260,29 @@ class TestGenerators:
     def test_bipartite_degree_validated(self):
         with pytest.raises(ValueError):
             random_bipartite_regular_graph(2, 3, seed=0)
+
+    def test_streams_are_pinned(self):
+        """sha256 of the emitted graphs over int seeds and one shared Generator, and its end state.
+
+        Recorded before the two generators shared one rejection loop.
+        """
+        digest = hashlib.sha256()
+        shared = np.random.default_rng(18)
+        for seed in (0, 1, 7, shared):
+            for n, degree in ((6, 3), (10, 3), (12, 4), (24, 3)):
+                digest.update(emit_graph(random_regular_graph(n, degree, seed=seed)).encode())
+            for half, degree in ((3, 2), (3, 3), (5, 3), (12, 3)):
+                digest.update(emit_graph(random_bipartite_regular_graph(half, degree, seed=seed)).encode())
+        digest.update(repr(shared.bit_generator.state).encode())
+        assert digest.hexdigest() == "b0b366b29117e7db80aca89b66002fccc9f65cf458a3213d0de52c7ab7013de5"
+
+    def test_disconnected_draws_exhaust_the_attempts(self, monkeypatch):
+        """A perfect matching on six nodes is simple but never connected, so every draw is rejected."""
+        monkeypatch.setattr(hamcycle, "_GENERATOR_ATTEMPTS", 3)
+        with pytest.raises(GenerationError, match="1-regular graph found for n=6"):
+            random_regular_graph(6, 1, seed=0)
+        with pytest.raises(GenerationError, match=r"\(1,1\)-bipartite graph for half=3"):
+            random_bipartite_regular_graph(3, 1, seed=0)
 
     def test_infeasible_generation_raises(self):
         # degree-3 pairing on 4 nodes is K4, which is fine; half=3 degree=3

@@ -221,7 +221,7 @@ class TestBacktrack:
         assert not ((system.matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
         rows, point, _ = pack_space(kernel, offset)
         assert (tuple(rows), point) == (standard.rows, standard.point)
-        r = Reduction(basis=standard, m_prime=n - k, standard=standard)
+        r = Reduction(basis=standard, standard=standard)
         v = np.arange(k) % 2
         assert np.array_equal(expand_standard(r, v), expand_rows(r, v[None])[0])
 

@@ -77,3 +77,17 @@ def test_only_the_instance_module_walks_clause_objects():
         if isinstance(node, ast.Attribute) and node.attr in {"clauses", "literals"}
     ]
     assert found == []
+
+
+def test_seeds_become_generators_only_through_default_rng():
+    """`np.random.default_rng` returns a Generator it is given unchanged, so no second seed path is needed."""
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in package_sources()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and (
+            ast.unparse(node.func).endswith("random.Generator")
+            or ast.unparse(node.func) == "isinstance" and "Generator" in ast.unparse(node.args[-1])
+        )
+    ]
+    assert found == []

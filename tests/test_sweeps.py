@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from xorsat_reduce import gf2, sweeps
-from xorsat_reduce.instances import gen_locked_random
 from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
 from xorsat_reduce.sweeps import SweepConfig
 
@@ -84,10 +82,8 @@ def test_zero_perm_trials_skips_the_optimization(monkeypatch):
 
 
 def _sample_instance(config: SweepConfig, n: int, sample: int):
-    p, q = config.arity
     _, gen_ss, _ = sweeps._sample_seeds(config.seed, n, sample)
-    return gen_locked_random(n, config.clause_count(n), p, q, config.negation_prob,
-                             seed=np.random.Generator(np.random.PCG64(gen_ss)))
+    return sweeps._generate(config, n, gen_ss)
 
 
 def test_xor_infeasible_rows_report_the_rank_of_the_parity_rows():
