@@ -4,6 +4,9 @@ All solvers work on the affine space produced by `reduce_instance`; the
 backtracking pair additionally exploits the standard form, fixing free
 variables in index order (branch 0 before 1) and cutting a branch as
 soon as any clause is violated under the induced partial assignment.
+Their checks assume that every point of the space solves the instance's
+parity system, so the reduction they take must be the instance's own:
+from `reduce_instance`, or `optimize_permutation` of it.
 """
 
 from __future__ import annotations
@@ -74,14 +77,27 @@ class _BacktrackRun:
     holds at 0). The other bits of xs[d] are meaningless, so every check
     masks them away and leaving a node undoes nothing.
 
-    checks[d] has one (mask, negated, lo, q) per clause that gains a
-    determined literal at depth d: mask and negated cover its literals
-    determined so far, and lo = q - (literals still open). The node is
-    cut when the true-literal count t = ((x ^ negated) & mask).bit_count()
-    is above q or below lo. A check that no value can fail (mask has at
-    most q bits and lo <= 0) is dropped. A clause with q > p starts with
-    lo above its determined count, so it cuts at the first depth where it
-    has one.
+    Every node's assignment solves the parity system, which gives two facts.
+    Each row meets each clause in an even number of variables, so a
+    clause's last two literals are determined at the same depth. And once
+    all p literals are determined, the true-literal count t has q's parity:
+    t = q, or t differs from q by 2 or more.
+
+    A clause's check comes at each depth where it gains a determined
+    literal. When q <= 2 and q <= p <= q + 2, the finished clause fails
+    only at t = q + 2 = p or at t = q - 2 = 0, so its check is one or two
+    cut patterns in cuts[d]: (mask, want) with mask its variables, and the
+    node is cut when x & mask == want. That is all literals true
+    (want = mask ^ negated, the variables of its positive literals) when
+    p = q + 2, and all literals false (want = negated) when q = 2; 1-in-1
+    and 1-in-2 clauses need no check at all. Every other check is one
+    (mask, negated, lo, q) in checks[d]: mask and negated cover its
+    literals determined so far, and lo = q - (literals still open). The
+    node is cut when t = ((x ^ negated) & mask).bit_count() is above q or
+    below lo. A check that no value can fail (mask has at most q bits and
+    lo <= 0) is dropped. A clause with q > p starts with lo above its
+    determined count, so it cuts at the first depth where it has one. Each
+    node tests its depth's cut patterns, then its bounds.
     """
 
     def __init__(self, instance: Instance, reduction: Reduction, find_first: bool):
@@ -98,6 +114,7 @@ class _BacktrackRun:
                 ready[var] = depth
             seen |= row
             determined[depth - 1] = determined[k] ^ seen
+        self.cuts = cuts = [[] for _ in range(k + 1)]
         self.checks = checks = [[] for _ in range(k + 1)]
         for clause_vars, mask, negated, q in zip(instance.variables, instance.variable_masks,
                                                  instance.negated_masks, instance.occupations):
@@ -109,7 +126,12 @@ class _BacktrackRun:
                 if known < p and depths[known] == depth:
                     continue
                 lo = q - p + known
-                if known > q or lo > 0:
+                if known == p and q <= 2 and p - 2 <= q <= p:
+                    if p == q + 2:
+                        cuts[depth].append((mask, mask ^ negated))
+                    if q == 2:
+                        cuts[depth].append((mask, negated))
+                elif known > q or lo > 0:
                     held = mask & determined[depth]
                     checks[depth].append((held, negated & held, lo, q))
         self.nodes_per_depth = [0] * (k + 1)
@@ -117,27 +139,31 @@ class _BacktrackRun:
         self.first_solution: np.ndarray | None = None
 
     def run(self) -> TreeStats:
-        k, sf, checks = self.k, self.standard, self.checks
+        k, sf, cuts, checks = self.k, self.standard, self.cuts, self.checks
         rows, nodes = sf.rows, self.nodes_per_depth
         x = sf.point
         xs = [x] * (k + 1)
         depth = 0
         while True:
             nodes[depth] += 1
-            for mask, negated, lo, q in checks[depth]:
-                t = ((x ^ negated) & mask).bit_count()
-                if t > q or t < lo:
+            for mask, want in cuts[depth]:
+                if x & mask == want:
                     break
             else:
-                if depth < k:
-                    depth += 1
-                    xs[depth] = x
-                    continue
-                self.solution_count += 1
-                if self.first_solution is None:
-                    self.first_solution = gf2._unpack([x], sf.n)[0]
-                if self.find_first:
-                    break
+                for mask, negated, lo, q in checks[depth]:
+                    t = ((x ^ negated) & mask).bit_count()
+                    if t > q or t < lo:
+                        break
+                else:
+                    if depth < k:
+                        depth += 1
+                        xs[depth] = x
+                        continue
+                    self.solution_count += 1
+                    if self.first_solution is None:
+                        self.first_solution = gf2._unpack([x], sf.n)[0]
+                    if self.find_first:
+                        break
             # Leave 1-branches (rows[d] holds free[d], so xs changes there); the first
             # 0-branch found turns into its 1-branch sibling.
             while depth and xs[depth] != xs[depth - 1]:

@@ -9,12 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
 from xorsat_reduce.instances import (
+    Clause,
     Instance,
+    Literal,
     brute_force_solutions,
     clause,
     eval_instance,
@@ -29,6 +33,8 @@ from xorsat_reduce.reduction import (
     reduce_instance,
 )
 from xorsat_reduce.solvers import (
+    TreeStats,
+    _BacktrackRun,
     backtrack_count,
     backtrack_solve,
     count_enumerate,
@@ -225,6 +231,9 @@ class TestBacktrack:
         v = np.arange(k) % 2
         assert np.array_equal(expand_standard(r, v), expand_rows(r, v[None])[0])
 
+        # Parity fixes every 1-in-2 clause once its pair is determined: no depth checks anything.
+        run = _BacktrackRun(inst, r, find_first=True)
+        assert run.cuts == run.checks == [[]] * (k + 1)
         assert sys.getrecursionlimit() < k
         outcome, stats = backtrack_solve(inst, r)
         assert outcome.satisfiable
@@ -233,6 +242,148 @@ class TestBacktrack:
         assert stats.total_nodes == k + 1
         assert eval_instance(inst, outcome.assignment)
         assert np.array_equal(outcome.assignment, offset)
+
+
+def finish_depth(reduction, mask: int) -> int:
+    """The depth at which every variable in `mask` is determined: one past the deepest row holding one."""
+    return max((d + 1 for d, row in enumerate(reduction.standard.rows) if row & mask), default=0)
+
+
+class TestCompiledChecks:
+    @pytest.mark.parametrize("literals, q, cuts, check", [
+        # 1in3 (t is 1 or 3): only all three true can fail.
+        ([(0, False), (1, True), (2, False)], 1, [(0b111, 0b101)], None),
+        # 2in3 (t is 0 or 2): only all three false can fail.
+        ([(0, False), (1, False), (2, True)], 2, [(0b111, 0b100)], None),
+        # 2in4 (t is 0, 2 or 4): all true, then all false.
+        ([(0, True), (1, False), (2, False), (3, True)], 2, [(0b1111, 0b0110), (0b1111, 0b1001)], None),
+        # 1-in-1 and 1-in-2: parity alone fixes t = 1.
+        ([(0, True)], 1, [], None),
+        ([(0, False), (1, True)], 1, [], None),
+        # 1in4 (t is 1 or 3, and 3 is not all four), 3in5 and q > p keep the popcount bounds.
+        ([(0, False), (1, True), (2, False), (3, False)], 1, [], (0b1111, 0b0010, 1, 1)),
+        ([(0, False), (1, False), (2, True), (3, False), (4, True)], 3, [], (0b11111, 0b10100, 3, 3)),
+        ([(0, False), (1, True)], 3, [], (0b11, 0b10, 3, 3)),
+        ([(0, True)], 2, [], (0b1, 0b1, 2, 2)),
+    ])
+    def test_finished_clause_compiles_to_cuts_or_bounds(self, literals, q, cuts, check):
+        inst = Instance(len(literals), (clause(literals, q),))
+        r = reduce_instance(inst)
+        run = _BacktrackRun(inst, r, find_first=False)
+        last = finish_depth(r, inst.variable_masks[0])
+        assert run.cuts == [cuts if d == last else [] for d in range(run.k + 1)]
+        if check is None:
+            assert not any(run.checks)
+        else:
+            assert run.checks[last] == [check]
+
+    def test_hc_degree_three_clauses_are_all_false_cuts(self):
+        inst = hc_to_occupation(random_regular_graph(16, 3, seed=16))
+        r = reduce_instance(inst)
+        run = _BacktrackRun(inst, r, find_first=False)
+        expected = [[] for _ in range(run.k + 1)]
+        for mask, q in zip(inst.variable_masks, inst.occupations):
+            assert (mask.bit_count(), q) == (3, 2)
+            expected[finish_depth(r, mask)].append((mask, 0))
+        assert run.cuts == expected
+        assert not any(run.checks)
+
+
+def popcount_walk(instance, reduction, find_first: bool):
+    """The walk with every check a popcount against two bounds, as before the cut patterns.
+
+    Returns (solution count, TreeStats, first solution or None).
+    """
+    sf = reduction.standard
+    k = sf.free_count
+    ready = [0] * sf.n
+    determined = [(1 << sf.n) - 1] * (k + 1)
+    seen = 0
+    for depth in range(k, 0, -1):
+        row = sf.rows[depth - 1]
+        for var in range(sf.n):
+            if (row & ~seen) >> var & 1:
+                ready[var] = depth
+        seen |= row
+        determined[depth - 1] = determined[k] ^ seen
+    checks = [[] for _ in range(k + 1)]
+    for clause_vars, mask, negated, q in zip(instance.variables, instance.variable_masks,
+                                             instance.negated_masks, instance.occupations):
+        depths = sorted(ready[v] for v in clause_vars)
+        p = len(depths)
+        for known, depth in enumerate(depths, 1):
+            if known < p and depths[known] == depth:
+                continue
+            lo = q - p + known
+            if known > q or lo > 0:
+                held = mask & determined[depth]
+                checks[depth].append((held, negated & held, lo, q))
+    nodes = [0] * (k + 1)
+    count, first = 0, None
+    x = sf.point
+    xs = [x] * (k + 1)
+    depth = 0
+    while True:
+        nodes[depth] += 1
+        for mask, negated, lo, q in checks[depth]:
+            t = ((x ^ negated) & mask).bit_count()
+            if t > q or t < lo:
+                break
+        else:
+            if depth < k:
+                depth += 1
+                xs[depth] = x
+                continue
+            count += 1
+            if first is None:
+                first = np.array([x >> v & 1 for v in range(sf.n)], dtype=np.uint8)
+            if find_first:
+                break
+        while depth and xs[depth] != xs[depth - 1]:
+            depth -= 1
+        if not depth:
+            break
+        x = xs[depth] = xs[depth - 1] ^ sf.rows[depth - 1]
+    return count, TreeStats(sum(nodes), tuple(nodes)), first
+
+
+@st.composite
+def parity_consistent_instances(draw) -> Instance:
+    """Up to 10 clauses of arity 1..6 over n <= 14 variables, with negations.
+
+    Each q is in 1..p + 1 with the parity of a planted assignment's true
+    literals (half the time that count itself, when it is at least 1), so
+    the parity system is consistent and every walk's node solves it.
+    """
+    n = draw(st.integers(1, 14))
+    planted = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    clauses = []
+    for _ in range(draw(st.integers(0, 10))):
+        p = draw(st.integers(1, min(6, n)))
+        variables = draw(st.lists(st.integers(0, n - 1), min_size=p, max_size=p, unique=True))
+        lits = tuple(Literal(v, draw(st.booleans())) for v in variables)
+        t = sum(planted[lit.var] != lit.negated for lit in lits)
+        if not t or draw(st.booleans()):
+            t = draw(st.sampled_from([q for q in range(1, p + 2) if q % 2 == t % 2]))
+        clauses.append(Clause(lits, t))
+    return Instance(n, tuple(clauses))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parity_consistent_instances())
+def test_cut_patterns_walk_the_popcount_walks_tree(inst):
+    r = reduce_instance(inst)
+    assert isinstance(r, Reduction)
+    for red in (r, optimize_permutation(inst, r, trials=3)):
+        count, stats, _ = popcount_walk(inst, red, find_first=False)
+        assert backtrack_count(inst, red) == (count, stats)
+        _, stats, first = popcount_walk(inst, red, find_first=True)
+        outcome, solve_stats = backtrack_solve(inst, red)
+        assert solve_stats == stats
+        assert outcome.queries == stats.nodes_per_depth[-1]
+        assert outcome.satisfiable == (first is not None)
+        if first is not None:
+            assert np.array_equal(outcome.assignment, first)
 
 
 def tree_corpus() -> list[Instance]:
