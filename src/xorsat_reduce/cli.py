@@ -21,7 +21,7 @@ from .errors import GenerationError, GuardExceeded, ParseError
 from .grover import OracleSpec, grover_search_unknown, oracle_resources, query_cost_count, query_cost_decision
 from .hamcycle import hc_to_occupation, parse_graph, solve_hc
 from .instances import check_generator_parameters, emit_instance, gen_locked_random, parse_instance
-from .reduction import XorInfeasible, reduce_instance
+from .reduction import XorInfeasible, kernel_excess, reduce_instance
 from .solvers import (
     SolveOutcome, backtrack_count, backtrack_solve, count_enumerate, optimize_permutation, solve_enumerate,
 )
@@ -98,7 +98,7 @@ def _context(instance, outcome, sizes=None) -> dict:
     if isinstance(outcome, XorInfeasible):
         record["witness"] = [i + 1 for i in outcome.witness]
     else:
-        record.update(k=outcome.free_count, m_prime=outcome.m_prime, delta_k=instance.m - outcome.m_prime)
+        record.update(k=outcome.free_count, m_prime=outcome.m_prime, delta_k=kernel_excess(instance, outcome))
     return record
 
 

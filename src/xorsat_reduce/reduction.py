@@ -14,7 +14,7 @@ against q + 2 and q - 1 true literals.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -81,9 +81,6 @@ class Reduction:
     @property
     def offset(self) -> np.ndarray:  # (n,) uint8, the basis point: one parity solution
         return self.basis.expand(())
-
-    def with_standard(self, standard: StandardForm) -> "Reduction":
-        return replace(self, standard=standard)
 
 
 def _parities(instance: Instance) -> list[int]:

@@ -218,14 +218,6 @@ def _at_least_degree(masks: list[int]) -> list[int]:
     return at_least
 
 
-def _coverage(masks: list[int], variables) -> int:
-    """Number of clauses containing at least one of `variables`."""
-    covered = 0
-    for v in variables:
-        covered |= masks[v]
-    return covered.bit_count()
-
-
 def _set_bits(x: int):
     """Indices of the set bits of x, ascending."""
     while x:
@@ -245,12 +237,15 @@ def optimize_permutation(
     Primary objective: the number of clauses containing at least one
     free-block variable, raised by `trials` greedy swap climbs (the
     first from the input's block, the rest from random full-rank
-    blocks). Among the best-scoring blocks found, ties are broken toward
-    standard forms whose dependent rows complete early, and the free
-    block is ordered the same way, since early-determined coordinates
-    are what lets the backtracker cut branches. The returned reduction
-    never scores below the input and spans the same solution set;
-    deterministic per seed.
+    blocks). A climb moves only on a strict gain, so the first one ends
+    on the input block or on a better one. The finalists are the
+    distinct blocks of the best score, kept as the climbs end: a higher
+    score replaces them, a tie joins them. Among them, the sorted block
+    with the least readiness penalty (ties: the smallest sorted block)
+    is chosen, since early-determined coordinates are what lets the
+    backtracker cut branches, and its free variables are put in the
+    greedy readiness order. The returned reduction never scores below
+    the input and spans the same solution set; deterministic per seed.
 
     Every block is held as the packed kernel rows reduced on it (row i
     has bit sel[i] and no other selected bit), starting from the input's
@@ -269,10 +264,8 @@ def optimize_permutation(
     at_least_degree = _at_least_degree(masks)
     input_sel = list(sf.free)
 
-    # sorted block -> (score, {selected column: its reduced row})
-    candidates = {
-        tuple(sorted(input_sel)): (_coverage(masks, input_sel), dict(zip(input_sel, sf.rows)))
-    }
+    best_score = -1
+    finalists: dict[tuple, dict] = {}  # sorted block -> {selected column: its reduced row}
     orders = _random_orders(rng, n, trials - 1)
     for trial in range(trials):
         rows = list(sf.rows)
@@ -282,19 +275,17 @@ def optimize_permutation(
             # A random column order; its pivots are a uniform-ish random full-rank block.
             sel = gf2._gauss_jordan(rows, next(orders))
         score = _climb(masks, clause_vars, at_least_degree, sel, rows)
-        key = tuple(sorted(sel))
-        if key not in candidates:
-            candidates[key] = (score, dict(zip(sel, rows)))
-    best_score = max(score for score, _ in candidates.values())
-    finalists = sorted(key for key, (score, _) in candidates.items() if score == best_score)
-    chosen = min(finalists, key=lambda sel: _readiness_penalty(sel, candidates[sel][1]))
-    rows = candidates[chosen][1]
+        if score > best_score:
+            best_score, finalists = score, {}
+        if score == best_score:
+            # A block's reduced rows are unique, so the first ones seen are its rows.
+            finalists.setdefault(tuple(sorted(sel)), dict(zip(sel, rows)))
+    chosen = min(sorted(finalists), key=lambda sel: _readiness_penalty(sel, finalists[sel]))
+    rows = finalists[chosen]
     order = _readiness_order(chosen, rows)
     if order == input_sel:
         return reduction
-    return reduction.with_standard(
-        gf2.reduced_standard_form(order, [rows[v] for v in order], sf.point, n)
-    )
+    return Reduction(reduction.basis, gf2.reduced_standard_form(order, [rows[v] for v in order], sf.point, n))
 
 
 def _random_orders(rng: np.random.Generator, n: int, count: int):
@@ -331,11 +322,15 @@ def _readiness_penalty(sel, rows) -> int:
 def _readiness_order(sel, rows) -> list[int]:
     """Order the free block so dependency rows complete as early as possible.
 
-    Greedy: repeatedly append the variable that completes the most
-    still-open dependent rows, then the one leaving the least remaining
-    support, then the smallest index (deterministic). A dependent's
-    support is the set of selected variables whose reduced rows hold it,
-    kept as a bitmask over variables.
+    A dependent's support is the set of selected variables whose reduced
+    rows hold it, kept as a bitmask over variables. Greedy: repeatedly
+    append the variable that completes the most still-open supports
+    (those whose unplaced part is exactly that variable), then the one
+    in the most supports, then the smallest index (deterministic). The
+    second key is static: v is in one support per dependent its row
+    holds. It ranks candidates as "the least support left open" would,
+    since that sum is the round's open support minus it. So each round
+    is one pass over the supports.
     """
     selected = sum(1 << v for v in sel)
     support_of: dict[int, int] = {}
@@ -343,19 +338,17 @@ def _readiness_order(sel, rows) -> list[int]:
         for d in _set_bits(rows[v] & ~selected):
             support_of[d] = support_of.get(d, 0) | 1 << v
     supports = list(support_of.values())
-    chosen: list[int] = []
+    holders = {v: (rows[v] & ~selected).bit_count() for v in sel}
+    remaining = set(sel)
     placed = 0
-    remaining = sorted(sel)
+    chosen: list[int] = []
     while remaining:
-        best = None
-        best_key = None
-        for v in remaining:
-            trial = placed | 1 << v
-            completed = sum(1 for s in supports if s >> v & 1 and not s & ~trial)
-            leftover = sum((s & ~trial).bit_count() for s in supports)
-            key = (-completed, leftover, v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        completes = dict.fromkeys(remaining, 0)
+        for s in supports:
+            left = s & ~placed
+            if left and not left & (left - 1):
+                completes[left.bit_length() - 1] += 1
+        best = min(remaining, key=lambda v: (-completes[v], -holders[v], v))
         chosen.append(best)
         placed |= 1 << best
         remaining.remove(best)

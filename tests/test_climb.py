@@ -7,7 +7,8 @@ must make the same choices: the same returned standard form (compared as
 dense arrays), the same object when the order does not change, and the same
 draws from the caller's generator. `_climb` skips the swaps that cannot
 win; it is also compared, one climb at a time, with a copy of the packed
-climb that scored them all.
+climb that scored them all. `_readiness_order` reads one static count per
+variable; it is compared with a loop that scores every candidate in turn.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from xorsat_reduce import gf2
 from xorsat_reduce.errors import GenerationError
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
-from xorsat_reduce.solvers import _ORDER_BLOCK, _at_least_degree, _climb, _random_orders, optimize_permutation
+from xorsat_reduce.solvers import (
+    _ORDER_BLOCK,
+    _at_least_degree,
+    _climb,
+    _random_orders,
+    _readiness_order,
+    optimize_permutation,
+)
 
 from conftest import dense_standard, dense_standard_form, pack_space, standard_form_on
 
@@ -283,3 +291,55 @@ def test_pruned_climb_matches_the_unpruned_climb(start):
     want = unpruned_climb(masks, want_sel, want_rows)
     got = _climb(masks, clause_vars, _at_least_degree(masks), sel, rows)
     assert (got, sel, rows) == (want, want_sel, want_rows)
+
+
+def readiness_order_by_candidate(sel, rows):
+    """The greedy readiness order with every candidate's key (-completed, leftover, v) built in turn."""
+    selected = sum(1 << v for v in sel)
+    supports = {}
+    for v in sel:
+        dependents = rows[v] & ~selected
+        for d in range(dependents.bit_length()):
+            if dependents >> d & 1:
+                supports[d] = supports.get(d, 0) | 1 << v
+    chosen = []
+    placed = 0
+    remaining = sorted(sel)
+    while remaining:
+        best = None
+        best_key = None
+        for v in remaining:
+            trial = placed | 1 << v
+            completed = sum(1 for s in supports.values() if s >> v & 1 and not s & ~trial)
+            leftover = sum((s & ~trial).bit_count() for s in supports.values())
+            key = (-completed, leftover, v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        chosen.append(best)
+        placed |= 1 << best
+        remaining.remove(best)
+    return chosen
+
+
+@st.composite
+def reduced_blocks(draw):
+    """Up to 12 selected columns and their reduced rows over at most 6 dependents.
+
+    With few dependents, many rows share them, so the completion and
+    support counts tie often and the index decides.
+    """
+    k = draw(st.integers(1, 12))
+    columns = draw(st.permutations(range(k + draw(st.integers(0, 6)))))
+    sel, dependents = columns[:k], columns[k:]
+    rows = {}
+    for v in sel:
+        held = draw(st.sets(st.sampled_from(dependents))) if dependents else set()
+        rows[v] = 1 << v | sum(1 << d for d in held)
+    return sel, rows
+
+
+@settings(max_examples=400, **SETTINGS)
+@given(reduced_blocks())
+def test_readiness_order_matches_scoring_every_candidate(block):
+    sel, rows = block
+    assert _readiness_order(sel, rows) == readiness_order_by_candidate(sel, rows)

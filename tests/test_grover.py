@@ -286,6 +286,10 @@ class TestSearchKnown:
         assert iterations == 1608
         assert marked and spec.solution_mask[measured]
 
+    def test_guard(self):
+        with pytest.raises(GuardExceeded):
+            grover_search_known(spec_for(Instance(25, ())), 1, 1)
+
 
 class TestSearchUnknown:
     def test_returns_verified_solutions(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xorsat_reduce"
@@ -91,3 +92,44 @@ def test_seeds_become_generators_only_through_default_rng():
         )
     ]
     assert found == []
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and constant whose name has one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_module_level_name_is_read():
+    """A private helper goes with its last reader: each is read somewhere outside its own definition.
+
+    A read is a load of the name in its module, of `module._name`, or of
+    the name bound by `from .module import _name`.
+    """
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in package_sources()}
+    reads = defaultdict(list)  # (module, name) -> its loads there, or the loads of module.name
+    bound = defaultdict(list)  # (module, name) -> (importing module, the name it is bound to there)
+    for reader, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads[reader, node.id].append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                reads[node.value.id, node.attr].append(node)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    bound[node.module, alias.name].append((reader, alias.asname or alias.name))
+    definitions = [(module, name, node) for module, tree in trees.items() for name, node in private_definitions(tree)]
+    orphans = []
+    for module, name, definition in definitions:
+        inside = {id(node) for node in ast.walk(definition)}
+        loads = reads[module, name] + [node for key in bound[module, name] for node in reads[key]]
+        if all(id(node) in inside for node in loads):
+            orphans.append(f"{module}.py:{definition.lineno} {name}")
+    assert definitions and orphans == []
