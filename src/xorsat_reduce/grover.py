@@ -8,15 +8,15 @@ form: after r iterations from the uniform state every marked amplitude
 equals sin((2r+1) theta)/sqrt(V) and every unmarked one
 cos((2r+1) theta)/sqrt(N - V), with sin^2 theta = V/N (Boyer, Brassard,
 Hoyer & Tapp, "Tight bounds on quantum searching", 1998). The dense
-complex statevector simulators (`uniform_state`, `apply_oracle`,
-`grover_iterate`) stay as the reference they are checked against; the
-gate-level structure of the oracle is modeled separately by
-`oracle_resources`.
+complex statevector they are checked against is the tests' reference,
+not the library's; the gate-level structure of the oracle is modeled
+separately by `oracle_resources`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +28,6 @@ from .reduction import Reduction, expand_index, scan
 from .solvers import SolveOutcome
 
 SEARCH_MAX_FREE = 24
-NORM_TOL = 1e-9
 
 # The unknown-count schedule: per-round iteration cap grows by 6/5 until it
 # reaches sqrt(N); Unsat is certified after this many artificial-only hits,
@@ -85,43 +84,6 @@ class OracleSpec:
         return mask
 
 
-def uniform_state(k: int) -> np.ndarray:
-    """Equal superposition over 2^k indices."""
-    n = 1 << k
-    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-
-
-def _check_normalized(state: np.ndarray):
-    # Not np.vdot: on 2^k >= 8192 amplitudes it wakes OpenBLAS's thread
-    # pool, whose workers keep spinning on the other core after it returns.
-    norm2 = float(np.sum(state.real**2 + state.imag**2))
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: |s|^2 = {norm2}")
-
-
-def flip_marked(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Negate the amplitudes at the masked indices."""
-    out = state.copy()
-    out[mask] *= -1.0
-    return out
-
-
-def invert_about_mean(state: np.ndarray) -> np.ndarray:
-    """Grover diffusion: reflect every amplitude about the mean amplitude."""
-    return 2.0 * state.mean() - state
-
-
-def apply_oracle(spec: OracleSpec, state: np.ndarray) -> np.ndarray:
-    """Phase-flip the marked indices of a normalized state."""
-    _check_normalized(state)
-    return flip_marked(state, spec.marked_mask)
-
-
-def grover_iterate(spec: OracleSpec, state: np.ndarray) -> np.ndarray:
-    """One Grover iteration: oracle followed by inversion about the mean."""
-    return invert_about_mean(apply_oracle(spec, state))
-
-
 def grover_search_known(
     spec: OracleSpec, v_count: int, rng: int | np.random.Generator
 ) -> tuple[int, bool, int]:
@@ -133,9 +95,10 @@ def grover_search_known(
     index's measurement probability is its class's share, spread evenly
     over the class. The angle comes from the number of indices
     `spec.marked_mask` actually marks, so a `v_count` that differs from
-    it changes only the iteration count, as in the dense simulation. An
-    empty class gets no share: with nothing (or everything) marked the
-    oracle is the identity (or -1) and the state stays uniform.
+    it changes only the iteration count, as in the tests' dense
+    statevector reference. An empty class gets no share: with nothing
+    (or everything) marked the oracle is the identity (or -1) and the
+    state stays uniform.
     """
     k = spec.free_count
     if k > SEARCH_MAX_FREE:
@@ -166,18 +129,6 @@ def _class_probabilities(theta: float, iterations: int) -> tuple[float, float]:
     return math.sin(angle) ** 2, math.cos(angle) ** 2
 
 
-def _round_hits_marked(theta: float, iterations: int, rng) -> bool:
-    """Sample the measured class after `iterations` Grover steps from uniform.
-
-    By symmetry every marked amplitude stays equal (likewise unmarked),
-    so the measured class is Bernoulli with p = sin^2((2r+1) theta) and
-    the index is uniform within the class; this matches the explicit
-    statevector simulation exactly.
-    """
-    p_marked, _ = _class_probabilities(theta, iterations)
-    return bool(rng.random() < p_marked)
-
-
 def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> SolveOutcome:
     """Exponential-schedule search for an unknown number of solutions.
 
@@ -188,6 +139,11 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
     when no solution exists the search still terminates: after
     CERTIFY_REPEATS rounds that located only the artificial index, the
     instance is declared Unsat. Queries counts oracle applications.
+
+    By symmetry every marked amplitude stays equal (likewise unmarked),
+    so each round's measured class is Bernoulli with p = sin^2((2r+1)
+    theta) and the index is uniform within the class; this matches the
+    tests' dense statevector reference exactly.
     """
     k = spec.free_count
     rng = np.random.default_rng(rng)
@@ -204,7 +160,8 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
     while True:
         iterations = int(rng.integers(0, math.ceil(cap)))
         queries += iterations
-        if _round_hits_marked(theta, iterations, rng):
+        p_marked, _ = _class_probabilities(theta, iterations)
+        if rng.random() < p_marked:
             measured = int(marked_indices[rng.integers(marked_indices.size)])
             if solution_mask[measured]:
                 assignment = expand_index(spec.reduction, measured)
@@ -219,7 +176,7 @@ def query_cost_decision(n: int, m_prime: int) -> float:
     """Worst-case decision query bound sqrt(2^(n - m_prime)), unit constant."""
     if m_prime > n:
         raise ValueError(f"m_prime {m_prime} exceeds n {n}")
-    return 2.0 ** ((n - m_prime) / 2)
+    return _query_cost(1, n - m_prime)
 
 
 def query_cost_count(n: int, m_prime: int, v_count: int) -> float:
@@ -228,7 +185,19 @@ def query_cost_count(n: int, m_prime: int, v_count: int) -> float:
         raise ValueError(f"m_prime {m_prime} exceeds n {n}")
     if not 0 <= v_count <= 2 ** (n - m_prime):
         raise ValueError(f"solution count {v_count} not in [0, 2^{n - m_prime}]")
-    return math.sqrt(v_count) * 2.0 ** ((n - m_prime) / 2)
+    return _query_cost(v_count, n - m_prime)
+
+
+def _query_cost(v_count: int, k: int) -> float:
+    """sqrt(v_count * 2^k) as a float; GuardExceeded when it is past the largest finite float."""
+    try:
+        cost = math.sqrt(v_count) * 2.0 ** (k / 2)
+    except OverflowError:  # v_count >= 2^1024, or k / 2 >= 1024
+        cost = math.inf
+    if cost == math.inf:
+        log2_cost = math.floor((math.log2(v_count) + k) / 2)
+        raise GuardExceeded("log2 of the query cost", log2_cost, sys.float_info.max_exp - 1)
+    return cost
 
 
 @dataclass(frozen=True)

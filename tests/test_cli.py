@@ -272,6 +272,42 @@ class TestGroverCost:
         assert record["count"] == 2
         assert record["query_cost_count"] == pytest.approx(2.0 ** 0.5 * 2.0)
 
+    # k = 1023: sqrt(2^k) and the worst-case count cost 2^k are still finite floats.
+    WIDEST_FINITE_RECORD = """\
+n: 1023
+m: 0
+k: 1023
+m_prime: 0
+delta_k: 0
+query_cost_decision: 9.480751908109177e+153
+query_cost_count_worst_case: 8.988465674311582e+307
+ancillas: 0
+gates_module_i: 1023
+gates_module_ii: 0
+gates_module_iii: 0
+gates_module_iv: 0
+total_gates: 1023
+"""
+
+    @pytest.mark.parametrize("count", [False, True], ids=["worst-case", "count-solutions"])
+    @pytest.mark.parametrize("n", [1023, 1024, 2047, 2048])
+    def test_cost_past_the_largest_float_is_a_guard(self, capsys, tmp_path, n, count):
+        """k = n free variables: a query cost past the largest finite float exits 3, not with a traceback.
+
+        The worst-case count cost 2^k overflows from k = 1024 on, the
+        decision cost sqrt(2^k) from k = 2048 on. With --count-solutions
+        the scan's guard (k > 30) refuses first.
+        """
+        path = tmp_path / "wide.occ"
+        path.write_text(f"p occ {n} 0 1\n")
+        code = main(["grover-cost", str(path), *(["--count-solutions"] if count else [])])
+        captured = capsys.readouterr()
+        if n == 1023 and not count:
+            assert code == 0 and captured.out == self.WIDEST_FINITE_RECORD
+        else:
+            assert code == 3 and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestHc:
     def test_k4_cycle(self, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Grover simulation: oracle semantics, closed-form agreement, searches, resources."""
+"""Grover simulation: oracle marks, the dense reference against the closed form, searches, resources."""
 
 from __future__ import annotations
 
@@ -10,16 +10,11 @@ import pytest
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import (
     OracleSpec,
-    apply_oracle,
-    flip_marked,
-    grover_iterate,
     grover_search_known,
     grover_search_unknown,
-    invert_about_mean,
     oracle_resources,
     query_cost_count,
     query_cost_decision,
-    uniform_state,
 )
 from xorsat_reduce.instances import (
     Clause,
@@ -32,6 +27,8 @@ from xorsat_reduce.instances import (
 )
 from xorsat_reduce.reduction import Reduction, expand_index, reduce_instance
 from xorsat_reduce.solvers import count_enumerate
+
+from conftest import dense_grover_step, dense_uniform_state
 
 
 def spec_for(instance, artificial=None) -> OracleSpec:
@@ -71,9 +68,9 @@ def dense_search_known(spec: OracleSpec, v_count: int, seed: int) -> tuple[tuple
     """Reference known-count search on the dense statevector: (triple, |state|^2)."""
     k = spec.free_count
     iterations = int(math.pi / 4 * math.sqrt(2 ** k / v_count))
-    state = uniform_state(k)
+    state = dense_uniform_state(k)
     for _ in range(iterations):
-        state = grover_iterate(spec, state)
+        state = dense_grover_step(state, spec.marked_mask)
     probs = np.abs(state) ** 2
     measured = int(np.random.default_rng(seed).choice(1 << k, p=probs / probs.sum()))
     return (measured, bool(spec.marked_mask[measured]), iterations), probs
@@ -94,28 +91,12 @@ class RecordingGenerator(np.random.Generator):
 class TestOracle:
     def test_identity_when_nothing_marked(self):
         spec = spec_for(unsat_but_feasible_instance())
-        state = uniform_state(spec.free_count)
-        assert np.allclose(apply_oracle(spec, state), state)
+        assert not spec.marked_mask.any()
 
     def test_flips_exactly_the_solution_indices(self, unique_solution_instance):
         spec = spec_for(unique_solution_instance)
-        state = uniform_state(2)
-        flipped = apply_oracle(spec, state)
-        signs = np.sign((flipped / state).real)
-        assert (signs == -1).sum() == 1
-        assert spec.solution_mask[np.nonzero(signs == -1)[0][0]]
-
-    def test_involution(self, chain_instance):
-        spec = spec_for(chain_instance)
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = raw / np.linalg.norm(raw)
-        assert np.allclose(apply_oracle(spec, apply_oracle(spec, state)), state)
-
-    def test_unnormalized_state_rejected(self, chain_instance):
-        spec = spec_for(chain_instance)
-        with pytest.raises(ValueError):
-            apply_oracle(spec, np.ones(4, dtype=np.complex128))
+        (target,) = np.flatnonzero(spec.marked_mask)
+        assert eval_instance(unique_solution_instance, expand_index(spec.reduction, int(target)))
 
     def test_mask_matches_classical_evaluation(self):
         rng = np.random.default_rng(11)
@@ -154,15 +135,15 @@ class TestOracle:
 class TestIterateClosedForm:
     def test_single_target_two_qubits_exact(self, unique_solution_instance):
         spec = spec_for(unique_solution_instance)
-        state = grover_iterate(spec, uniform_state(2))
+        state = dense_grover_step(dense_uniform_state(2), spec.marked_mask)
         target = int(np.nonzero(spec.solution_mask)[0][0])
         assert abs(abs(state[target]) ** 2 - 1.0) < 1e-9
 
     def test_norm_preserved_along_runs(self, chain_instance):
         spec = spec_for(chain_instance)
-        state = uniform_state(2)
+        state = dense_uniform_state(2)
         for _ in range(25):
-            state = grover_iterate(spec, state)
+            state = dense_grover_step(state, spec.marked_mask)
             assert abs(np.vdot(state, state).real - 1.0) < 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 4, 6])
@@ -172,24 +153,24 @@ class TestIterateClosedForm:
         for v in {1, 2, min(4, n), n}:
             mask = np.zeros(n, dtype=bool)
             mask[rng.choice(n, size=v, replace=False)] = True
-            state = uniform_state(k)
+            state = dense_uniform_state(k)
             for m in range(1, 12):
-                state = invert_about_mean(flip_marked(state, mask))
+                state = dense_grover_step(state, mask)
                 simulated = float((np.abs(state[mask]) ** 2).sum())
                 assert abs(simulated - closed_form_probability(k, v, m)) < 1e-9
 
     def test_all_marked_is_fixed_point(self):
         spec = spec_for(Instance(3, ()))
-        state = grover_iterate(spec, uniform_state(3))
-        assert np.allclose(np.abs(state) ** 2, np.abs(uniform_state(3)) ** 2)
+        state = dense_grover_step(dense_uniform_state(3), spec.marked_mask)
+        assert np.allclose(np.abs(state) ** 2, np.abs(dense_uniform_state(3)) ** 2)
         probs = np.abs(state) ** 2
         assert float(probs[spec.marked_mask].sum()) == pytest.approx(1.0)
 
     def test_spec_level_closed_form_chain(self, chain_instance):
         spec = spec_for(chain_instance)  # k = 2, V = 2
-        state = uniform_state(2)
+        state = dense_uniform_state(2)
         for m in range(1, 10):
-            state = grover_iterate(spec, state)
+            state = dense_grover_step(state, spec.marked_mask)
             simulated = float((np.abs(state[spec.marked_mask]) ** 2).sum())
             assert abs(simulated - closed_form_probability(2, 2, m)) < 1e-9
 
@@ -211,10 +192,10 @@ class TestSearchKnown:
         spec = spec_for(repeated_unique_instance(5))  # k = 10, V = 1
         assert spec.free_count == 10
         # Exact success probability of the final state meets 1 - V/N.
-        state = uniform_state(10)
+        state = dense_uniform_state(10)
         _, _, iterations = grover_search_known(spec, 1, 0)
         for _ in range(iterations):
-            state = grover_iterate(spec, state)
+            state = dense_grover_step(state, spec.marked_mask)
         exact = float((np.abs(state[spec.marked_mask]) ** 2).sum())
         assert exact >= 1 - 1 / 2 ** 10
         hits = sum(
@@ -375,6 +356,16 @@ class TestQueryCosts:
 
     def test_count_zero_solutions(self):
         assert query_cost_count(18, 8, 0) == 0.0
+
+    def test_past_the_largest_float_is_a_guard(self):
+        assert query_cost_decision(2047, 0) == 2.0 ** 1023.5
+        assert query_cost_count(2046, 0, 1) == 2.0 ** 1023
+        with pytest.raises(GuardExceeded, match="log2 of the query cost = 1024 exceeds guard 1023"):
+            query_cost_decision(2048, 0)
+        with pytest.raises(GuardExceeded, match="log2 of the query cost = 1024 exceeds guard 1023"):
+            query_cost_count(1024, 0, 2 ** 1024)
+        with pytest.raises(GuardExceeded):
+            query_cost_count(2000, 0, 2 ** 100)
 
     def test_validation(self):
         with pytest.raises(ValueError):

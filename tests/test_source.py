@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
+
+import xorsat_reduce
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xorsat_reduce"
 
@@ -66,6 +68,26 @@ def test_no_blas_backed_numpy_calls():
         and isinstance(node.value, ast.Name) and node.value.id == "np"
     ]
     assert found == []
+
+
+def test_no_complex_dtypes():
+    """One Grover simulator: both searches sample the closed form; the dense statevector is the tests' reference."""
+    complex_dtypes = {"complex64", "complex128", "complex_", "csingle", "cdouble", "clongdouble"}
+    found = [
+        f"{path.name}:{node.lineno} np.{node.attr}"
+        for path in package_sources()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in complex_dtypes
+        and isinstance(node.value, ast.Name) and node.value.id == "np"
+    ]
+    assert found == []
+
+
+def test_every_exported_name_resolves_once():
+    """Each name in `__all__` is bound on the package, and none is listed twice."""
+    missing = [name for name in xorsat_reduce.__all__ if not hasattr(xorsat_reduce, name)]
+    repeated = sorted(name for name, count in Counter(xorsat_reduce.__all__).items() if count > 1)
+    assert (missing, repeated) == ([], [])
 
 
 def test_only_the_instance_module_walks_clause_objects():
