@@ -22,13 +22,11 @@ from .hamcycle import (
 )
 from .instances import (
     Clause,
-    ClauseStatus,
     Instance,
     Literal,
     brute_force_solutions,
     emit_instance,
     eval_clause,
-    eval_clause_partial,
     eval_instance,
     gen_locked_random,
     parse_instance,
@@ -39,7 +37,6 @@ from .reduction import (
     XorInfeasible,
     build_linear_system,
     expand_index,
-    expand_standard,
     kernel_excess,
     reduce_instance,
 )
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Clause",
-    "ClauseStatus",
     "GenerationError",
     "Graph",
     "GuardExceeded",
@@ -81,10 +77,8 @@ __all__ = [
     "count_enumerate",
     "emit_instance",
     "eval_clause",
-    "eval_clause_partial",
     "eval_instance",
     "expand_index",
-    "expand_standard",
     "gamma_estimate",
     "gen_locked_random",
     "grover_search_known",

@@ -2,10 +2,10 @@
 
 The oracle acts on the 2^k parameter indices of a reduction: it flips
 the phase of |v> exactly when the expanded assignment satisfies the
-instance (or when v carries the artificial mark used for no-solution
-certification). Both searches sample their measurement from the closed
-form: after r iterations from the uniform state every marked amplitude
-equals sin((2r+1) theta)/sqrt(V) and every unmarked one
+instance. The unknown-count search also marks index 0, so that it can
+certify that no solution exists. Both searches sample their measurement
+from the closed form: after r iterations from the uniform state every
+marked amplitude equals sin((2r+1) theta)/sqrt(V) and every unmarked one
 cos((2r+1) theta)/sqrt(N - V), with sin^2 theta = V/N (Boyer, Brassard,
 Hoyer & Tapp, "Tight bounds on quantum searching", 1998). The dense
 complex statevector they are checked against is the tests' reference,
@@ -43,21 +43,10 @@ RESOURCE_BOUND_CONSTANT = 3
 
 @dataclass(eq=False)
 class OracleSpec:
-    """Phase-flip oracle over reduced-space indices.
-
-    `artificial_marked`, when set, is one extra index the oracle accepts
-    regardless of the instance; the unknown-count search uses it to
-    certify unsatisfiability.
-    """
+    """Phase-flip oracle over reduced-space indices."""
 
     reduction: Reduction
     instance: Instance
-    artificial_marked: int | None = None
-
-    def __post_init__(self):
-        k = self.reduction.free_count
-        if self.artificial_marked is not None and not 0 <= self.artificial_marked < (1 << k):
-            raise ValueError(f"artificial mark {self.artificial_marked} not in [0, 2^{k})")
 
     @property
     def free_count(self) -> int:
@@ -74,15 +63,6 @@ class OracleSpec:
             mask[start : start + satisfied.size] = satisfied
         return mask
 
-    @cached_property
-    def marked_mask(self) -> np.ndarray:
-        """solution_mask with the artificial index (if any) also marked."""
-        if self.artificial_marked is None:
-            return self.solution_mask
-        mask = self.solution_mask.copy()
-        mask[self.artificial_marked] = True
-        return mask
-
 
 def grover_search_known(
     spec: OracleSpec, v_count: int, rng: int | np.random.Generator
@@ -94,7 +74,7 @@ def grover_search_known(
     marked, iterations used). The final state is not simulated: each
     index's measurement probability is its class's share, spread evenly
     over the class. The angle comes from the number of indices
-    `spec.marked_mask` actually marks, so a `v_count` that differs from
+    `spec.solution_mask` actually marks, so a `v_count` that differs from
     it changes only the iteration count, as in the tests' dense
     statevector reference. An empty class gets no share: with nothing
     (or everything) marked the oracle is the identity (or -1) and the
@@ -108,7 +88,7 @@ def grover_search_known(
         raise ValueError(f"marked count {v_count} not in [1, {total}]")
     rng = np.random.default_rng(rng)
     iterations = int(math.pi / 4 * math.sqrt(total / v_count))
-    mask = spec.marked_mask
+    mask = spec.solution_mask
     marked = int(np.count_nonzero(mask))
     p_marked, p_unmarked = _class_probabilities(math.asin(math.sqrt(marked / total)), iterations)
     per_marked = p_marked / marked if marked else 0.0
@@ -134,11 +114,11 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
 
     Each round runs a random number of iterations (uniform below a cap
     that grows by SCHEDULE_GROWTH up to sqrt(2^k)) from the uniform state
-    and measures once; measured candidates are verified classically. One
-    index (spec.artificial_marked, defaulting to 0) is always marked, so
-    when no solution exists the search still terminates: after
-    CERTIFY_REPEATS rounds that located only the artificial index, the
-    instance is declared Unsat. Queries counts oracle applications.
+    and measures once; measured candidates are verified classically.
+    Index 0 is always marked as well, so when no solution exists the
+    search still terminates: after CERTIFY_REPEATS rounds that located
+    only that artificial index, the instance is declared Unsat. Queries
+    counts oracle applications.
 
     By symmetry every marked amplitude stays equal (likewise unmarked),
     so each round's measured class is Bernoulli with p = sin^2((2r+1)
@@ -147,9 +127,8 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
     """
     k = spec.free_count
     rng = np.random.default_rng(rng)
-    artificial = spec.artificial_marked if spec.artificial_marked is not None else 0
     solution_mask = spec.solution_mask
-    marked_indices = np.union1d(np.flatnonzero(solution_mask), [artificial])
+    marked_indices = np.union1d(np.flatnonzero(solution_mask), [0])
     total = 1 << k
     theta = math.asin(math.sqrt(marked_indices.size / total))
 

@@ -63,10 +63,6 @@ class Graph:
         return out
 
 
-def connected_component_count(graph: Graph) -> int:
-    return _component_count(graph.n_nodes, graph.edges)
-
-
 def _component_count(n_nodes: int, edges) -> int:
     """Connected components of the graph on n_nodes nodes with the given edges."""
     adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
@@ -91,7 +87,7 @@ def _component_count(n_nodes: int, edges) -> int:
 
 
 def is_connected(graph: Graph) -> bool:
-    return connected_component_count(graph) <= 1
+    return _component_count(graph.n_nodes, graph.edges) <= 1
 
 
 def incidence_matrix(graph: Graph) -> np.ndarray:

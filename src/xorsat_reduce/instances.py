@@ -12,13 +12,11 @@ it. The n-bit ints that the packed stages use, `variable_masks` and
 `Clause` and `Literal` are the constructor's input, `Instance(n, clauses)`,
 and the read-only `clauses` view, built only when something reads it;
 the evaluators and brute force walk that view as independent references.
-Assignments are plain uint8 arrays of length n; partial assignments are
-int8 arrays where INDETERMINATE (-1) marks an unset variable.
+Assignments are plain uint8 arrays of length n.
 """
 
 from __future__ import annotations
 
-import enum
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -29,17 +27,8 @@ import numpy as np
 from .bits import bit_block
 from .errors import GenerationError, GuardExceeded, ParseError
 
-INDETERMINATE = -1
-
 BRUTE_FORCE_MAX_VARS = 24
 _ENUM_BLOCK = 1 << 16
-_GENERATION_RESTARTS = 100
-
-
-class ClauseStatus(enum.Enum):
-    SATISFIED = "satisfied"
-    VIOLATED = "violated"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -179,29 +168,6 @@ def eval_instance(instance: Instance, assignment) -> bool:
     return all(eval_clause(c, values) for c in instance.clauses)
 
 
-def eval_clause_partial(c: Clause, values) -> ClauseStatus:
-    """Clause status under a partial assignment.
-
-    VIOLATED when no completion of the indeterminate variables can reach
-    exactly q true literals; SATISFIED when every completion does (all
-    literals determined and exactly q true); INDETERMINATE otherwise.
-    """
-    vals = np.asarray(values)
-    true_count = 0
-    open_count = 0
-    for lit in c.literals:
-        v = int(vals[lit.var])
-        if v == INDETERMINATE:
-            open_count += 1
-        else:
-            true_count += v ^ int(lit.negated)
-    if true_count > c.q or true_count + open_count < c.q:
-        return ClauseStatus.VIOLATED
-    if open_count == 0:
-        return ClauseStatus.SATISFIED
-    return ClauseStatus.INDETERMINATE
-
-
 def brute_force_solutions(instance: Instance) -> list[np.ndarray]:
     """All satisfying assignments, lexicographically ordered (x1 most significant).
 
@@ -240,7 +206,7 @@ def gen_locked_random(
     occupant can spare the occurrence. Each literal is independently
     negated with probability `negation_prob`. Deterministic for a fixed
     seed. Raises GenerationError when p*m < 2n (pigeonhole-infeasible)
-    or when repair fails after bounded restarts.
+    or when the repair runs out of draws.
     """
     check_generator_parameters(n, m, p, q, negation_prob)
     if p * m < 2 * n:
@@ -248,22 +214,17 @@ def gen_locked_random(
             f"cannot lock {n} variables with {m} clauses of {p} literals ({p * m} slots < {2 * n})"
         )
     rng = np.random.default_rng(seed)
-
-    for _ in range(_GENERATION_RESTARTS):
-        clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
-        degree = [0] * n
-        for cv in clause_vars:
-            for v in cv:
-                degree[v] += 1
-        if _repair_degrees(clause_vars, degree, rng):
-            # Row a's negations as bytes, least significant literal first.
-            packed = np.packbits(rng.random(size=(m, p)) < negation_prob, axis=1, bitorder="little")
-            data, width = packed.tobytes(), packed.shape[1]
-            negations = tuple(int.from_bytes(data[a * width : (a + 1) * width], "little") for a in range(m))
-            return Instance._from_table(n, tuple(map(tuple, clause_vars)), negations, (q,) * m)
-    raise GenerationError(
-        f"could not lock n={n} m={m} p={p} within {_GENERATION_RESTARTS} restarts"
-    )
+    clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
+    degree = [0] * n
+    for cv in clause_vars:
+        for v in cv:
+            degree[v] += 1
+    _repair_degrees(clause_vars, degree, rng)
+    # Row a's negations as bytes, least significant literal first.
+    packed = np.packbits(rng.random(size=(m, p)) < negation_prob, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    negations = tuple(int.from_bytes(data[a * width : (a + 1) * width], "little") for a in range(m))
+    return Instance._from_table(n, tuple(map(tuple, clause_vars)), negations, (q,) * m)
 
 
 def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: float) -> None:
@@ -274,7 +235,7 @@ def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: fl
         raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
 
 
-def _repair_degrees(clause_vars, degree, rng) -> bool:
+def _repair_degrees(clause_vars, degree, rng) -> None:
     """Swap under-used variables into clause slots until every degree is >= 2.
 
     One pass, in increasing variable order. A placement of v raises
@@ -282,10 +243,10 @@ def _repair_degrees(clause_vars, degree, rng) -> bool:
     variable ever drops below two: the variables lacking at the start are
     the only ones ever lacking, and each is placed until its degree reaches
     two before the next is visited. Every placement gets 200 n + 100 draws
-    of a (clause, slot) pair; False when one runs out of them.
+    of a (clause, slot) pair; GenerationError when one runs out of them.
     """
-    m = len(clause_vars)
-    attempts = 200 * len(degree) + 100
+    n, m, p = len(degree), len(clause_vars), len(clause_vars[0])
+    attempts = 200 * n + 100
     for v in [v for v, d in enumerate(degree) if d < 2]:
         while degree[v] < 2:
             for _ in range(attempts):
@@ -301,8 +262,9 @@ def _repair_degrees(clause_vars, degree, rng) -> bool:
                 degree[v] += 1
                 break
             else:
-                return False
-    return True
+                raise GenerationError(
+                    f"could not lock n={n} m={m} p={p}: a placement ran out of {attempts} draws"
+                )
 
 
 def parse_instance(text: str) -> Instance:

@@ -201,15 +201,6 @@ def scan(instance: Instance, reduction: Reduction):
         yield start, bits[: 1 << width].view(bool)
 
 
-def expand_standard(reduction: Reduction, v_prime) -> np.ndarray:
-    """Assignment whose free coordinates standard.free take the values v_prime (standard form)."""
-    vec = gf2.as_bin_vec(v_prime)
-    sf = reduction.standard
-    if vec.size != sf.free_count:
-        raise ValueError(f"parameter length {vec.size} != k = {sf.free_count}")
-    return sf.expand(vec)
-
-
 def kernel_excess(instance: Instance, reduction: Reduction) -> int:
     """Number of linearly dependent parity rows: k - (n - M) = M - m_prime."""
     return instance.m - reduction.m_prime

@@ -1,4 +1,4 @@
-"""Shared fixtures and the reference (non-library) evaluator, expansion, standard form and Grover statevector."""
+"""Shared fixtures and the reference (non-library) evaluators, expansion, standard form and Grover statevector."""
 
 from __future__ import annotations
 
@@ -24,6 +24,18 @@ def reference_satisfies(instance, bits) -> bool:
         if true_count != cl.q:
             return False
     return True
+
+
+def partial_violated(clause, partial) -> bool:
+    """True iff no completion of the open variables (-1 in `partial`) gives exactly q true literals."""
+    true_count = open_count = 0
+    for lit in clause.literals:
+        value = int(partial[lit.var])
+        if value == -1:
+            open_count += 1
+        else:
+            true_count += value ^ lit.negated
+    return true_count > clause.q or true_count + open_count < clause.q
 
 
 def limit_address_space():

@@ -35,19 +35,12 @@ from xorsat_reduce.hamcycle import (
     random_regular_graph,
     solve_hc,
 )
-from xorsat_reduce.instances import (
-    INDETERMINATE,
-    ClauseStatus,
-    brute_force_solutions,
-    eval_clause_partial,
-    eval_instance,
-    gen_locked_random,
-)
-from xorsat_reduce.reduction import Reduction, XorInfeasible, expand_standard, reduce_instance
+from xorsat_reduce.instances import brute_force_solutions, eval_instance, gen_locked_random
+from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep
 
-from conftest import dense_grover_step, dense_standard, dense_uniform_state
+from conftest import dense_grover_step, dense_standard, dense_uniform_state, partial_violated
 
 GROVER_SEEDS_PER_INSTANCE = 50
 SWEEP_THREADS = 2
@@ -183,7 +176,7 @@ def test_criterion_04_grover_closed_form(unique_solution_instance):
                 checked += 1
     spec = OracleSpec(reduction=reduce_instance(unique_solution_instance),
                       instance=unique_solution_instance)
-    state = dense_grover_step(dense_uniform_state(2), spec.marked_mask)
+    state = dense_grover_step(dense_uniform_state(2), spec.solution_mask)
     target_prob = float((np.abs(state[spec.solution_mask]) ** 2).sum())
     assert abs(target_prob - 1.0) < 1e-9
     report(4, True, f"{checked} (k, V, m) points within 1e-9 of sin^2((2m+1) asin(sqrt(V/N)))")
@@ -272,7 +265,7 @@ def _reference_tree_walk(inst, reduction):
     k = reduction.standard.free_count
     supports = [np.nonzero(row)[0] for row in h]
     ready = [int(s.max()) + 1 if s.size else 0 for s in supports]
-    partial = np.full(inst.n, INDETERMINATE, dtype=np.int8)
+    partial = np.full(inst.n, -1, dtype=np.int8)
     vbits = [0] * k
     visited = 0
     pruned = []
@@ -297,9 +290,7 @@ def _reference_tree_walk(inst, reduction):
         nonlocal visited
         visited += 1
         new_vars = determine(depth)
-        violated = any(
-            eval_clause_partial(c, partial) is ClauseStatus.VIOLATED for c in inst.clauses
-        )
+        violated = any(partial_violated(c, partial) for c in inst.clauses)
         if violated:
             pruned.append((depth, prefix))
         elif depth < k:
@@ -307,7 +298,7 @@ def _reference_tree_walk(inst, reduction):
                 vbits[depth] = bit
                 visit(depth + 1, (prefix << 1) | bit)
         for var in new_vars:
-            partial[var] = INDETERMINATE
+            partial[var] = -1
     visit(0, 0)
     return visited, pruned
 
@@ -317,7 +308,7 @@ def _standard_solution_mask(inst, reduction) -> np.ndarray:
     k = reduction.free_count
     flags = np.zeros(1 << k, dtype=bool)
     for index, bits in enumerate(bit_block(0, 1 << k, k)):
-        flags[index] = eval_instance(inst, expand_standard(reduction, bits))
+        flags[index] = eval_instance(inst, reduction.standard.expand(bits))
     return flags
 
 

@@ -22,15 +22,7 @@ from hypothesis import strategies as st
 from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import OracleSpec
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
-from xorsat_reduce.instances import (
-    INDETERMINATE,
-    Clause,
-    ClauseStatus,
-    Instance,
-    Literal,
-    brute_force_solutions,
-    eval_clause_partial,
-)
+from xorsat_reduce.instances import Clause, Instance, Literal, brute_force_solutions
 from xorsat_reduce.reduction import XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import (
     TreeStats,
@@ -41,7 +33,7 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import dense_standard, expand_rows, reference_satisfies
+from conftest import dense_standard, expand_rows, partial_violated, reference_satisfies
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -181,7 +173,7 @@ def reference_tree(inst, reduction, find_first: bool):
     for c in inst.clauses:
         for lit in c.literals:
             clauses_of[lit.var].append(c)
-    partial = np.full(inst.n, INDETERMINATE, dtype=np.int8)
+    partial = np.full(inst.n, -1, dtype=np.int8)
     vbits = [0] * k
     nodes = [0] * (k + 1)
     found = []
@@ -197,8 +189,7 @@ def reference_tree(inst, reduction, find_first: bool):
         for var, value in newly:
             partial[var] = value
         done = False
-        if not any(eval_clause_partial(c, partial) is ClauseStatus.VIOLATED
-                   for var, _ in newly for c in clauses_of[var]):
+        if not any(partial_violated(c, partial) for var, _ in newly for c in clauses_of[var]):
             if depth == k:
                 found.append(partial.astype(np.uint8))
                 done = find_first
@@ -209,7 +200,7 @@ def reference_tree(inst, reduction, find_first: bool):
                         done = True
                         break
         for var, _ in newly:
-            partial[var] = INDETERMINATE
+            partial[var] = -1
         return done
 
     visit(0)

@@ -31,10 +31,10 @@ from xorsat_reduce.solvers import count_enumerate
 from conftest import dense_grover_step, dense_uniform_state
 
 
-def spec_for(instance, artificial=None) -> OracleSpec:
+def spec_for(instance) -> OracleSpec:
     r = reduce_instance(instance)
     assert isinstance(r, Reduction)
-    return OracleSpec(reduction=r, instance=instance, artificial_marked=artificial)
+    return OracleSpec(reduction=r, instance=instance)
 
 
 def unsat_but_feasible_instance():
@@ -70,10 +70,10 @@ def dense_search_known(spec: OracleSpec, v_count: int, seed: int) -> tuple[tuple
     iterations = int(math.pi / 4 * math.sqrt(2 ** k / v_count))
     state = dense_uniform_state(k)
     for _ in range(iterations):
-        state = dense_grover_step(state, spec.marked_mask)
+        state = dense_grover_step(state, spec.solution_mask)
     probs = np.abs(state) ** 2
     measured = int(np.random.default_rng(seed).choice(1 << k, p=probs / probs.sum()))
-    return (measured, bool(spec.marked_mask[measured]), iterations), probs
+    return (measured, bool(spec.solution_mask[measured]), iterations), probs
 
 
 class RecordingGenerator(np.random.Generator):
@@ -91,11 +91,11 @@ class RecordingGenerator(np.random.Generator):
 class TestOracle:
     def test_identity_when_nothing_marked(self):
         spec = spec_for(unsat_but_feasible_instance())
-        assert not spec.marked_mask.any()
+        assert not spec.solution_mask.any()
 
     def test_flips_exactly_the_solution_indices(self, unique_solution_instance):
         spec = spec_for(unique_solution_instance)
-        (target,) = np.flatnonzero(spec.marked_mask)
+        (target,) = np.flatnonzero(spec.solution_mask)
         assert eval_instance(unique_solution_instance, expand_index(spec.reduction, int(target)))
 
     def test_mask_matches_classical_evaluation(self):
@@ -122,20 +122,11 @@ class TestOracle:
         for index in rng.choice(1 << k, size=400, replace=False):
             assert spec.solution_mask[index] == eval_instance(inst, expand_index(spec.reduction, int(index)))
 
-    def test_artificial_mark_added(self, unique_solution_instance):
-        spec = spec_for(unique_solution_instance, artificial=2)
-        assert spec.marked_mask.sum() == spec.solution_mask.sum() + 1
-        assert spec.marked_mask[2]
-
-    def test_artificial_mark_range_checked(self, unique_solution_instance):
-        with pytest.raises(ValueError):
-            spec_for(unique_solution_instance, artificial=4)
-
 
 class TestIterateClosedForm:
     def test_single_target_two_qubits_exact(self, unique_solution_instance):
         spec = spec_for(unique_solution_instance)
-        state = dense_grover_step(dense_uniform_state(2), spec.marked_mask)
+        state = dense_grover_step(dense_uniform_state(2), spec.solution_mask)
         target = int(np.nonzero(spec.solution_mask)[0][0])
         assert abs(abs(state[target]) ** 2 - 1.0) < 1e-9
 
@@ -143,7 +134,7 @@ class TestIterateClosedForm:
         spec = spec_for(chain_instance)
         state = dense_uniform_state(2)
         for _ in range(25):
-            state = dense_grover_step(state, spec.marked_mask)
+            state = dense_grover_step(state, spec.solution_mask)
             assert abs(np.vdot(state, state).real - 1.0) < 1e-9
 
     @pytest.mark.parametrize("k", [1, 2, 4, 6])
@@ -161,17 +152,17 @@ class TestIterateClosedForm:
 
     def test_all_marked_is_fixed_point(self):
         spec = spec_for(Instance(3, ()))
-        state = dense_grover_step(dense_uniform_state(3), spec.marked_mask)
+        state = dense_grover_step(dense_uniform_state(3), spec.solution_mask)
         assert np.allclose(np.abs(state) ** 2, np.abs(dense_uniform_state(3)) ** 2)
         probs = np.abs(state) ** 2
-        assert float(probs[spec.marked_mask].sum()) == pytest.approx(1.0)
+        assert float(probs[spec.solution_mask].sum()) == pytest.approx(1.0)
 
     def test_spec_level_closed_form_chain(self, chain_instance):
         spec = spec_for(chain_instance)  # k = 2, V = 2
         state = dense_uniform_state(2)
         for m in range(1, 10):
-            state = dense_grover_step(state, spec.marked_mask)
-            simulated = float((np.abs(state[spec.marked_mask]) ** 2).sum())
+            state = dense_grover_step(state, spec.solution_mask)
+            simulated = float((np.abs(state[spec.solution_mask]) ** 2).sum())
             assert abs(simulated - closed_form_probability(2, 2, m)) < 1e-9
 
 
@@ -195,8 +186,8 @@ class TestSearchKnown:
         state = dense_uniform_state(10)
         _, _, iterations = grover_search_known(spec, 1, 0)
         for _ in range(iterations):
-            state = dense_grover_step(state, spec.marked_mask)
-        exact = float((np.abs(state[spec.marked_mask]) ** 2).sum())
+            state = dense_grover_step(state, spec.solution_mask)
+        exact = float((np.abs(state[spec.solution_mask]) ** 2).sum())
         assert exact >= 1 - 1 / 2 ** 10
         hits = sum(
             grover_search_known(spec, 1, seed)[1] for seed in range(200)
@@ -210,31 +201,30 @@ class TestSearchKnown:
         with pytest.raises(ValueError):
             grover_search_known(spec, 5, 1)
 
-    # (instance, artificial mark, v_count); v_count None means the solution
-    # count. An artificial mark on a non-solution index makes the marked
-    # count one more than that, so the iteration count and the rotation
-    # angle come from different counts, as in the "+ artificial" cases.
+    # (instance, v_count); v_count None means the solution count. A named
+    # v_count is one more than the solution count, so the iteration count
+    # and the rotation angle come from different counts.
     DENSE_CASES = {
-        "unique k2": (repeated_unique_instance(1), None, None),
-        "unique k6": (repeated_unique_instance(3), None, None),
-        "unique k16": (repeated_unique_instance(8), None, None),
-        "unique k10 + artificial": (repeated_unique_instance(5), 3, None),
-        "four solutions k6 + artificial": (Instance(10, repeated_unique_instance(2).clauses), 5, None),
-        "locked 1in3 k9": (gen_locked_random(24, 16, 3, 1, seed=1), None, None),
-        "locked 1in3 k9 + artificial": (gen_locked_random(24, 16, 3, 1, seed=1), 0, None),
-        "locked 1in3 k11 + artificial": (gen_locked_random(30, 20, 3, 1, seed=3), 0, None),
-        "only artificial k5": (Instance(6, unsat_but_feasible_instance().clauses), 9, 1),
+        "unique k2": (repeated_unique_instance(1), None),
+        "unique k6": (repeated_unique_instance(3), None),
+        "unique k16": (repeated_unique_instance(8), None),
+        "unique k10 v_count 2": (repeated_unique_instance(5), 2),
+        "four solutions k6 v_count 5": (Instance(10, repeated_unique_instance(2).clauses), 5),
+        "locked 1in3 k9": (gen_locked_random(24, 16, 3, 1, seed=1), None),
+        "locked 1in3 k9 v_count 10": (gen_locked_random(24, 16, 3, 1, seed=1), 10),
+        "locked 1in3 k11 v_count 9": (gen_locked_random(30, 20, 3, 1, seed=3), 9),
+        "nothing marked k5 v_count 1": (Instance(6, unsat_but_feasible_instance().clauses), 1),
     }
 
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_matches_dense_reference(self, case):
-        instance, artificial, v_count = self.DENSE_CASES[case]
-        spec = spec_for(instance, artificial)
+        instance, v_count = self.DENSE_CASES[case]
+        spec = spec_for(instance)
         assert spec.free_count <= 16
         if v_count is None:
             v_count = count_enumerate(instance, spec.reduction)
             assert v_count >= 1
-            assert int(spec.marked_mask.sum()) == v_count + (artificial is not None)
+            assert int(spec.solution_mask.sum()) == v_count
         for seed in range(6):
             expected, dense_probs = dense_search_known(spec, v_count, seed)
             rng = RecordingGenerator(seed)
@@ -252,7 +242,7 @@ class TestSearchKnown:
         # marked it is -1; either way the state stays uniform.
         spec = spec_for(instance)
         total = 1 << spec.free_count
-        assert spec.marked_mask.mean() == marked_fraction
+        assert spec.solution_mask.mean() == marked_fraction
         for seed in range(4):
             rng = RecordingGenerator(seed)
             result = grover_search_known(spec, v_count, rng)
@@ -294,7 +284,7 @@ class TestSearchUnknown:
 
     def test_certifies_unsat_via_artificial_mark(self):
         inst = unsat_but_feasible_instance()
-        spec = spec_for(inst, artificial=0)
+        spec = spec_for(inst)
         outcome = grover_search_unknown(spec, rng=5)
         assert not outcome.satisfiable
         assert outcome.queries > 0
@@ -313,18 +303,14 @@ class TestSearchUnknown:
         assert a.satisfiable == b.satisfiable and a.queries == b.queries
         assert np.array_equal(a.assignment, b.assignment)
 
-    @pytest.mark.parametrize("instance, artificial, seed, expected", [
-        (repeated_unique_instance(3), None, 0, (True, "100110011001", 11)),
-        (repeated_unique_instance(3), 21, 7, (True, "100110011001", 2)),  # marks the solution
-        (Instance(6, unsat_but_feasible_instance().clauses), None, 7, (False, None, 114)),
-        (Instance(6, unsat_but_feasible_instance().clauses), 9, 0, (False, None, 127)),
-        (Instance(10, repeated_unique_instance(2).clauses), None, 7, (True, "1001100100", 6)),
-        (Instance(10, repeated_unique_instance(2).clauses), 5, 7, (True, "1001100100", 6)),
-        (Instance(10, repeated_unique_instance(2).clauses), 23, 3, (True, "1001100110", 2)),
+    @pytest.mark.parametrize("instance, seed, expected", [
+        (repeated_unique_instance(3), 0, (True, "100110011001", 11)),
+        (Instance(6, unsat_but_feasible_instance().clauses), 7, (False, None, 114)),
+        (Instance(10, repeated_unique_instance(2).clauses), 7, (True, "1001100100", 6)),
     ])
-    def test_pinned_outcomes(self, instance, artificial, seed, expected):
+    def test_pinned_outcomes(self, instance, seed, expected):
         # The marked indices fix every rng draw, so these outcomes pin them.
-        outcome = grover_search_unknown(spec_for(instance, artificial), rng=seed)
+        outcome = grover_search_unknown(spec_for(instance), rng=seed)
         assignment = None if outcome.assignment is None else "".join(map(str, outcome.assignment))
         assert (outcome.satisfiable, assignment, outcome.queries) == expected
 

@@ -15,9 +15,7 @@ from xorsat_reduce import instances
 from xorsat_reduce.errors import GenerationError, GuardExceeded, ParseError
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, random_regular_graph
 from xorsat_reduce.instances import (
-    INDETERMINATE,
     Clause,
-    ClauseStatus,
     Instance,
     Literal,
     brute_force_solutions,
@@ -25,7 +23,6 @@ from xorsat_reduce.instances import (
     clause,
     emit_instance,
     eval_clause,
-    eval_clause_partial,
     eval_instance,
     gen_locked_random,
     parse_instance,
@@ -33,7 +30,13 @@ from xorsat_reduce.instances import (
 from xorsat_reduce.reduction import reduce_instance
 from xorsat_reduce.solvers import backtrack_count, count_enumerate
 
-from conftest import CHAIN_SOLUTIONS, limit_address_space, reference_satisfies, reference_solutions
+from conftest import (
+    CHAIN_SOLUTIONS,
+    limit_address_space,
+    partial_violated,
+    reference_satisfies,
+    reference_solutions,
+)
 
 
 class TestModel:
@@ -94,23 +97,25 @@ class TestEvalInstance:
 
 
 class TestEvalClausePartial:
+    """The reference tree walks' `partial_violated`, where -1 marks an open variable."""
+
     def one_in_three(self):
         return clause([(0, False), (1, False), (2, False)], 1)
 
     def test_two_ones_violated(self):
-        assert eval_clause_partial(self.one_in_three(), [1, 1, INDETERMINATE]) is ClauseStatus.VIOLATED
+        assert partial_violated(self.one_in_three(), [1, 1, -1])
 
     def test_one_zero_open_indeterminate(self):
-        assert eval_clause_partial(self.one_in_three(), [1, 0, INDETERMINATE]) is ClauseStatus.INDETERMINATE
+        assert not partial_violated(self.one_in_three(), [1, 0, -1])
 
     def test_fully_determined_satisfied(self):
-        assert eval_clause_partial(self.one_in_three(), [1, 0, 0]) is ClauseStatus.SATISFIED
+        assert not partial_violated(self.one_in_three(), [1, 0, 0])
 
     def test_all_open_indeterminate(self):
-        assert eval_clause_partial(self.one_in_three(), [INDETERMINATE] * 3) is ClauseStatus.INDETERMINATE
+        assert not partial_violated(self.one_in_three(), [-1] * 3)
 
     def test_too_few_candidates_violated(self):
-        assert eval_clause_partial(self.one_in_three(), [0, 0, 0]) is ClauseStatus.VIOLATED
+        assert partial_violated(self.one_in_three(), [0, 0, 0])
 
     def test_agrees_with_full_eval_when_determined(self):
         rng = np.random.default_rng(7)
@@ -119,8 +124,7 @@ class TestEvalClausePartial:
             q = int(rng.integers(1, p + 1))
             c = clause([(v, bool(rng.integers(2))) for v in range(p)], q)
             bits = rng.integers(0, 2, size=p)
-            status = eval_clause_partial(c, bits.astype(np.int8))
-            assert (status is ClauseStatus.SATISFIED) == eval_clause(c, bits)
+            assert partial_violated(c, bits.astype(np.int8)) != eval_clause(c, bits)
 
     def test_refinement_monotonicity(self):
         rng = np.random.default_rng(13)
@@ -128,18 +132,15 @@ class TestEvalClausePartial:
             p = int(rng.integers(1, 6))
             q = int(rng.integers(1, p + 1))
             c = clause([(v, bool(rng.integers(2))) for v in range(p)], q)
-            partial = rng.choice([0, 1, INDETERMINATE], size=p).astype(np.int8)
-            before = eval_clause_partial(c, partial)
-            open_positions = np.nonzero(partial == INDETERMINATE)[0]
+            partial = rng.choice([0, 1, -1], size=p).astype(np.int8)
+            before = partial_violated(c, partial)
+            open_positions = np.nonzero(partial == -1)[0]
             if open_positions.size == 0:
                 continue
             refined = partial.copy()
             refined[rng.choice(open_positions)] = rng.integers(0, 2)
-            after = eval_clause_partial(c, refined)
-            if before is ClauseStatus.VIOLATED:
-                assert after is ClauseStatus.VIOLATED
-            if before is ClauseStatus.SATISFIED:
-                assert after is ClauseStatus.SATISFIED
+            if before:
+                assert partial_violated(c, refined)
 
 
 class TestGenerator:
@@ -207,28 +208,26 @@ def reference_gen_locked_random(n, m, p, q, negation_prob=0.5, seed=0):
             f"cannot lock {n} variables with {m} clauses of {p} literals ({p * m} slots < {2 * n})"
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    for _ in range(100):
-        clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
-        degree = np.zeros(n, dtype=np.int64)
-        for cv in clause_vars:
-            for v in cv:
-                degree[v] += 1
-        if _reference_repair(clause_vars, degree, n, rng):
-            negated = rng.random(size=(m, p)) < negation_prob
-            return Instance(n, tuple(
-                Clause(tuple(Literal(int(v), bool(negated[a, i])) for i, v in enumerate(cv)), q)
-                for a, cv in enumerate(clause_vars)
-            ))
-    raise GenerationError(f"could not lock n={n} m={m} p={p} within 100 restarts")
+    clause_vars = [rng.choice(n, size=p, replace=False).tolist() for _ in range(m)]
+    degree = np.zeros(n, dtype=np.int64)
+    for cv in clause_vars:
+        for v in cv:
+            degree[v] += 1
+    _reference_repair(clause_vars, degree, n, rng)
+    negated = rng.random(size=(m, p)) < negation_prob
+    return Instance(n, tuple(
+        Clause(tuple(Literal(int(v), bool(negated[a, i])) for i, v in enumerate(cv)), q)
+        for a, cv in enumerate(clause_vars)
+    ))
 
 
-def _reference_repair(clause_vars, degree, n, rng) -> bool:
+def _reference_repair(clause_vars, degree, n, rng) -> None:
     m = len(clause_vars)
     attempts = 200 * n + 100
     while True:
         lacking = [v for v in range(n) if degree[v] < 2]
         if not lacking:
-            return True
+            return
         v = lacking[0]
         placed = False
         for _ in range(attempts):
@@ -245,15 +244,8 @@ def _reference_repair(clause_vars, degree, n, rng) -> bool:
             placed = True
             break
         if not placed:
-            return False
-
-
-class _EvenDraws(np.random.Generator):
-    """Draws only even clause and slot indices, so repairs can run out of attempts."""
-
-    def integers(self, *args, **kwargs):
-        value = super().integers(*args, **kwargs)
-        return value - value % 2
+            p = len(clause_vars[0])
+            raise GenerationError(f"could not lock n={n} m={m} p={p}: a placement ran out of {attempts} draws")
 
 
 class _StuckDraws(np.random.Generator):
@@ -280,15 +272,12 @@ def _generate_both(n, m, p, q, negation_prob, make_rng):
 
 
 @st.composite
-def generator_shapes(draw, min_n=3, max_n=240, tight_only=False):
+def generator_shapes(draw):
     """(n, m, p, q): m one below the pigeonhole bound ceil(2n/p), at or just above it, or up to 2n."""
     p = draw(st.sampled_from([3, 4]))
-    n = draw(st.integers(max(p, min_n), max_n))
+    n = draw(st.integers(p, 240))
     tight = -(-2 * n // p)
-    if tight_only:
-        m = tight
-    else:
-        m = draw(st.sampled_from([tight - 1, tight, tight + 1, tight + 2]) | st.integers(tight, 2 * n))
+    m = draw(st.sampled_from([tight - 1, tight, tight + 1, tight + 2]) | st.integers(tight, 2 * n))
     return n, m, p, draw(st.integers(1, p))
 
 
@@ -309,29 +298,10 @@ class TestGeneratorStream:
         first, second = _generate_both(*shape, negation_prob, make_rng)
         assert first == second
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=30)
-    @given(shape=generator_shapes(min_n=6, max_n=9, tight_only=True), negation_prob=NEGATION_PROBS, seed=st.integers(0, 2**64 - 1))
-    def test_same_restarts(self, shape, negation_prob, seed):
-        first, second = _generate_both(*shape, negation_prob, lambda: _EvenDraws(np.random.PCG64(seed)))
-        assert first == second
-
     def test_same_failure_after_every_restart(self):
         first, second = _generate_both(9, 6, 3, 1, 0.5, lambda: _StuckDraws(np.random.PCG64(3)))
         assert first == second
-        assert first[0] == "could not lock n=9 m=6 p=3 within 100 restarts"
-
-    def test_even_draws_force_restarts(self, monkeypatch):
-        """The restart test's rng really makes repairs fail, then succeed on a later try."""
-        results = []
-        real = instances._repair_degrees
-
-        def record(*args):
-            results.append(real(*args))
-            return results[-1]
-
-        monkeypatch.setattr(instances, "_repair_degrees", record)
-        gen_locked_random(7, 5, 3, 1, seed=_EvenDraws(np.random.PCG64(0)))
-        assert False in results and results[-1]
+        assert first[0] == "could not lock n=9 m=6 p=3: a placement ran out of 1900 draws"
 
 
 class TestBruteForce:

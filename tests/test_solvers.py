@@ -29,7 +29,6 @@ from xorsat_reduce.reduction import (
     XorInfeasible,
     build_linear_system,
     expand_index,
-    expand_standard,
     reduce_instance,
 )
 from xorsat_reduce.solvers import (
@@ -229,7 +228,7 @@ class TestBacktrack:
         assert (tuple(rows), point) == (standard.rows, standard.point)
         r = Reduction(basis=standard, standard=standard)
         v = np.arange(k) % 2
-        assert np.array_equal(expand_standard(r, v), expand_rows(r, v[None])[0])
+        assert np.array_equal(r.standard.expand(v), expand_rows(r, v[None])[0])
 
         # Parity fixes every 1-in-2 clause once its pair is determined: no depth checks anything.
         run = _BacktrackRun(inst, r, find_first=True)
@@ -452,8 +451,8 @@ class TestOptimizePermutation:
                 continue
             better = optimize_permutation(inst, r, trials=8, seed=int(rng.integers(1 << 30)))
             k = r.free_count
-            before = {tuple(expand_standard(r, bits)) for bits in itertools.product((0, 1), repeat=k)}
-            after = {tuple(expand_standard(better, bits)) for bits in itertools.product((0, 1), repeat=k)}
+            before = {tuple(r.standard.expand(bits)) for bits in itertools.product((0, 1), repeat=k)}
+            after = {tuple(better.standard.expand(bits)) for bits in itertools.product((0, 1), repeat=k)}
             assert before == after
             assert count_enumerate(inst, better) == count_enumerate(inst, r)
 

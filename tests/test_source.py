@@ -90,6 +90,42 @@ def test_every_exported_name_resolves_once():
     assert (missing, repeated) == ([], [])
 
 
+# Exported for their readers outside the package: the independent brute-force
+# references the tests check every solver against, and the paper's HC claims
+# (rank n - 1 on a connected graph, the cost exponent) that the tests verify.
+UNREAD_EXPORTS = {"brute_force_solutions", "brute_force_hc", "hc_rank_check", "hc_cost_exponent"}
+
+
+def test_every_exported_name_is_read():
+    """The package keeps what it runs: each `__all__` name is read in `src/` or `bench/`.
+
+    A read is a load of the name or an attribute access by that name,
+    outside `__init__.py` and outside the name's own module-level
+    definition.
+    """
+    bench = PACKAGE.parents[1] / "bench"
+    sources = [path for path in package_sources() if path.name != "__init__.py"] + sorted(bench.rglob("*.py"))
+    read = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = {
+            id(node): definition.name
+            for definition in tree.body
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+            for node in ast.walk(definition)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if own.get(id(node)) != name:
+                read.add(name)
+    assert sorted(set(xorsat_reduce.__all__) - read - UNREAD_EXPORTS) == []
+
+
 def test_only_the_instance_module_walks_clause_objects():
     """Every stage reads the clause table; `Clause`/`Literal` are the constructor's input and a view."""
     found = [
