@@ -1,10 +1,10 @@
 """Linear algebra over GF(2) on packed rows.
 
 Inside, each row is one Python int with bit c holding column c, so a
-row operation is one XOR. The dense functions (`row_reduce`, `rank`,
-`matvec`, `kernel_basis`, `solve_particular`, `inconsistency_witness`,
-`inverse`) take and return numpy uint8 arrays with entries in {0, 1}.
-The packed ones take those ints: `eliminate` (and its `Elimination`),
+row operation is one XOR. The dense functions (`row_reduce`, `matvec`,
+`kernel_basis`, `solve_particular`, `inconsistency_witness`, `inverse`)
+take and return numpy uint8 arrays with entries in {0, 1}. The packed
+ones take those ints: `rank`, `eliminate` (and its `Elimination`),
 `standard_form`, `reduced_standard_form` and `StandardForm`, whose
 `expand` returns a uint8 assignment. Every elimination runs `_gauss_jordan`:
 its pivot rule -- leftmost eligible column (or the caller's column
@@ -184,10 +184,10 @@ def row_reduce(m) -> tuple[np.ndarray, list[int]]:
     return _unpack(rows, mat.shape[1]), pivots
 
 
-def rank(m) -> int:
-    """GF(2) row rank: the size of an echelon basis keyed by each row's leading bit."""
+def rank(rows) -> int:
+    """GF(2) rank of packed rows: the size of an echelon basis keyed by each row's leading bit."""
     basis: dict[int, int] = {}
-    for row in _pack(as_bin_matrix(m)):
+    for row in rows:
         while row:
             lead = row.bit_length()
             if lead not in basis:
@@ -274,7 +274,10 @@ class StandardForm:
         return len(self.free)
 
     def expand(self, v) -> np.ndarray:
-        """The (n,) uint8 assignment of parameters v, 0/1 in row order; missing ones are 0."""
+        """The (n,) uint8 assignment of parameters v, 0/1 in row order; missing ones are 0, extra ones raise."""
+        v = tuple(v)
+        if len(v) > len(self.rows):
+            raise ValueError(f"{len(v)} parameters for a space of dimension k = {len(self.rows)}")
         x = self.point
         for row, bit in zip(self.rows, v):
             if bit:

@@ -48,13 +48,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        out = np.zeros(self.n_nodes, dtype=np.int64)
-        for u, v in self.edges:
-            out[u] += 1
-            out[v] += 1
-        return out
-
     def incident_edges(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for e, (u, v) in enumerate(self.edges):
@@ -90,15 +83,6 @@ def is_connected(graph: Graph) -> bool:
     return _component_count(graph.n_nodes, graph.edges) <= 1
 
 
-def incidence_matrix(graph: Graph) -> np.ndarray:
-    """Node-edge incidence matrix over GF(2): (n_nodes, n_edges)."""
-    out = np.zeros((graph.n_nodes, graph.n_edges), dtype=np.uint8)
-    for e, (u, v) in enumerate(graph.edges):
-        out[u, e] = 1
-        out[v, e] = 1
-    return out
-
-
 def hc_to_occupation(graph: Graph) -> Instance:
     """2-in-degree instance over edge variables: one q=2 clause per node.
 
@@ -107,16 +91,16 @@ def hc_to_occupation(graph: Graph) -> Instance:
     any edge variable, so it maps to a one-variable unsatisfiable marker
     instance instead.
     """
-    degrees = graph.degrees()
-    if graph.n_nodes and degrees.min() == 0:
+    incident = graph.incident_edges()
+    if not all(incident):
         return Instance._from_table(max(graph.n_edges, 1), ((0,),), (0,), (2,))
-    variables = tuple(map(tuple, graph.incident_edges()))
+    variables = tuple(map(tuple, incident))
     return Instance._from_table(graph.n_edges, variables, (0,) * graph.n_nodes, (2,) * graph.n_nodes)
 
 
 def hc_rank_check(graph: Graph) -> int:
-    """GF(2) rank of the incidence matrix: n_nodes minus the component count."""
-    return gf2.rank(incidence_matrix(graph))
+    """GF(2) rank of the packed node-edge incidence rows: n_nodes minus the component count."""
+    return gf2.rank(sum(1 << e for e in edges) for edges in graph.incident_edges())
 
 
 def is_hamiltonian_cycle(graph: Graph, edge_values) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -40,8 +39,9 @@ _WORD_PATTERNS = np.array(
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    matrix: np.ndarray  # (M, n) uint8, row a marks the variables of clause a
-    rhs: np.ndarray  # (M,) uint8
+    rows: tuple[int, ...]  # packed, bit v of row a set iff variable v occurs in clause a
+    rhs: tuple[int, ...]  # 0/1 per clause: (negated literals + q) mod 2
+    n: int
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,10 @@ class Reduction:
         return self.basis.expand(())
 
 
-def _parities(instance: Instance) -> list[int]:
-    """Right-hand side of each clause's parity constraint: (negated literals + q) mod 2."""
-    return [(negated.bit_count() + q) & 1 for negated, q in zip(instance.negations, instance.occupations)]
-
-
 def build_linear_system(instance: Instance) -> LinearSystem:
-    """Parity system of an instance: A[a, j] = 1 iff variable j occurs in clause a."""
-    matrix = np.zeros((instance.m, instance.n), dtype=np.uint8)
-    clause_of = np.repeat(np.arange(instance.m), [len(clause_vars) for clause_vars in instance.variables])
-    matrix[clause_of, list(chain.from_iterable(instance.variables))] = 1
-    return LinearSystem(matrix=matrix, rhs=np.array(_parities(instance), dtype=np.uint8))
+    """Parity system of an instance: one packed row per clause and its right-hand side."""
+    rhs = tuple((negated.bit_count() + q) & 1 for negated, q in zip(instance.negations, instance.occupations))
+    return LinearSystem(rows=instance.variable_masks, rhs=rhs, n=instance.n)
 
 
 def reduce_instance(instance: Instance):
@@ -105,7 +98,8 @@ def reduce_instance(instance: Instance):
     {expand_index(r, i)} has exactly 2^(n - m_prime) points and contains
     every satisfying assignment of the instance.
     """
-    system = gf2.eliminate(instance.variable_masks, _parities(instance), instance.n)
+    parity = build_linear_system(instance)
+    system = gf2.eliminate(parity.rows, parity.rhs, parity.n)
     witness = system.witness()
     if witness is not None:
         return XorInfeasible(witness=tuple(witness), m_prime=system.rank)

@@ -97,7 +97,7 @@ def _sample(measure, task) -> dict:
 
 
 def _kernel_measure(config, inst, opt_ss):
-    return gf2.rank(build_linear_system(inst).matrix), {}
+    return gf2.rank(build_linear_system(inst).rows), {}
 
 
 def _tree_measure(config, inst, opt_ss):

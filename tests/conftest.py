@@ -1,4 +1,5 @@
-"""Shared fixtures and the reference (non-library) evaluators, expansion, standard form and Grover statevector."""
+"""Shared fixtures and the reference (non-library) evaluators, parity system, expansion, standard form and
+Grover statevector."""
 
 from __future__ import annotations
 
@@ -49,6 +50,26 @@ def expand_rows(reduction, bits):
     return (product % 2).astype(np.uint8) ^ reduction.offset
 
 
+def dense_parity_system(instance) -> tuple[np.ndarray, np.ndarray]:
+    """Reference parity system read off `instance.clauses`: (A, b), uint8.
+
+    A[a, v] = 1 iff variable v occurs in clause a, and b[a] is clause a's
+    negated literals plus q, mod 2.
+    """
+    clauses = instance.clauses
+    literals = [(a, lit.var, lit.negated) for a, cl in enumerate(clauses) for lit in cl.literals]
+    clause_of, variables, negated = np.array(literals, dtype=np.int64).reshape(-1, 3).T
+    matrix = np.zeros((instance.m, instance.n), dtype=np.uint8)
+    matrix[clause_of, variables] = 1
+    negations = np.bincount(clause_of, weights=negated, minlength=instance.m).astype(np.int64)
+    return matrix, ((negations + [cl.q & 1 for cl in clauses]) % 2).astype(np.uint8)
+
+
+def packed_rows(m) -> list[int]:
+    """A dense 0/1 matrix packed as `gf2.rank` takes it: bit c of row i holds m[i, c]."""
+    return gf2._pack(gf2.as_bin_matrix(m))
+
+
 def pack_space(kernel, offset) -> tuple[list[int], int, int]:
     """A dense (kernel, offset) pair packed as `gf2.standard_form` takes it: (rows, point, n).
 
@@ -58,7 +79,7 @@ def pack_space(kernel, offset) -> tuple[list[int], int, int]:
     basis = np.asarray(kernel, dtype=np.uint8)
     if basis.size == 0:
         basis = basis.reshape(len(basis), point.size)
-    *rows, packed_point = gf2._pack(np.vstack([gf2.as_bin_matrix(basis), point]))
+    *rows, packed_point = packed_rows(np.vstack([gf2.as_bin_matrix(basis), point]))
     return rows, packed_point, point.size
 
 

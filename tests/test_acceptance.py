@@ -40,7 +40,14 @@ from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep
 
-from conftest import dense_grover_step, dense_standard, dense_uniform_state, partial_violated
+from conftest import (
+    dense_grover_step,
+    dense_parity_system,
+    dense_standard,
+    dense_uniform_state,
+    packed_rows,
+    partial_violated,
+)
 
 GROVER_SEEDS_PER_INSTANCE = 50
 SWEEP_THREADS = 2
@@ -134,7 +141,7 @@ def test_criterion_03_kernel_excess_scaling():
             for s in range(samples):
                 seed = stable_seed("excess", alpha, n, s)
                 inst = gen_locked_random(n, m, 3, 1, seed=seed)
-                rank = gf2.rank(_parity_matrix(inst))
+                rank = gf2.rank(packed_rows(_parity_matrix(inst)))
                 excesses[s] = inst.m - rank
             assert excesses.min() >= 0, f"negative kernel excess at alpha={alpha} n={n}"
             means.append(excesses.mean() / n)
@@ -154,9 +161,7 @@ def test_criterion_03_kernel_excess_scaling():
 
 
 def _parity_matrix(inst):
-    from xorsat_reduce.reduction import build_linear_system
-
-    return build_linear_system(inst).matrix
+    return dense_parity_system(inst)[0]
 
 
 def test_criterion_04_grover_closed_form(unique_solution_instance):

@@ -31,7 +31,7 @@ from xorsat_reduce.solvers import (
     optimize_permutation,
 )
 
-from conftest import dense_standard, dense_standard_form, pack_space, standard_form_on
+from conftest import dense_standard, dense_standard_form, pack_space, packed_rows, standard_form_on
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
@@ -154,7 +154,7 @@ def kernel_reductions(draw):
     n = draw(st.integers(2, 30))
     k = draw(st.integers(1, n - 1))
     kernel = np.array([[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(k)], dtype=np.uint8)
-    assume(gf2.rank(kernel) == k)
+    assume(gf2.rank(packed_rows(kernel)) == k)
     offset = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
     basis = standard = gf2.standard_form(*pack_space(kernel, offset))
     if draw(st.booleans()):

@@ -31,16 +31,16 @@ from xorsat_reduce.reduction import (
     reduce_instance,
 )
 
-from conftest import expand_rows
+from conftest import dense_parity_system, expand_rows, packed_rows
 
 
-def xor_solutions(system):
+def xor_solutions(instance):
     """Parity-system solution set by enumeration, as bit tuples."""
-    m, n = system.matrix.shape
+    matrix, rhs = dense_parity_system(instance)
     out = set()
-    for bits in itertools.product((0, 1), repeat=n):
+    for bits in itertools.product((0, 1), repeat=instance.n):
         v = np.array(bits, dtype=np.uint8)
-        if np.array_equal(gf2.matvec(system.matrix, v), system.rhs):
+        if np.array_equal(gf2.matvec(matrix, v), rhs):
             out.add(bits)
     return out
 
@@ -48,21 +48,26 @@ def xor_solutions(system):
 class TestBuildLinearSystem:
     def test_chain(self, chain_instance):
         system = build_linear_system(chain_instance)
-        assert system.matrix.tolist() == [
-            [1, 1, 1, 0, 0],
-            [0, 1, 1, 1, 0],
-            [0, 0, 1, 1, 1],
-        ]
-        assert system.rhs.tolist() == [0, 0, 1]
+        assert system.rows == (0b00111, 0b01110, 0b11100)
+        assert system.rhs == (0, 0, 1)
+        assert system.n == 5
 
     def test_all_negated_clause(self):
         inst = Instance(3, (clause([(0, True), (1, True), (2, True)], 1),))
         system = build_linear_system(inst)
-        assert system.rhs.tolist() == [0]
+        assert system.rhs == (0,)
 
     def test_degree_two_node_clause(self):
         inst = Instance(3, (clause([(0, False), (1, False), (2, False)], 2),))
-        assert build_linear_system(inst).rhs.tolist() == [0]
+        assert build_linear_system(inst).rhs == (0,)
+
+    def test_rows_are_the_variable_masks_and_match_the_dense_reference(self, chain_instance):
+        for inst in [*reduction_corpus(chain_instance), Instance(0, ()), Instance(4, ())]:
+            system = build_linear_system(inst)
+            assert system.rows is inst.variable_masks and system.n == inst.n
+            matrix, rhs = dense_parity_system(inst)
+            assert list(system.rows) == packed_rows(matrix)
+            assert system.rhs == tuple(rhs.tolist()) and all(type(b) is int for b in system.rhs)
 
 
 class TestReduce:
@@ -71,10 +76,9 @@ class TestReduce:
         assert isinstance(r, Reduction)
         assert r.free_count == 2
         assert r.m_prime == 3
-        system = build_linear_system(chain_instance)
         expansions = {tuple(expand_index(r, index)) for index in range(4)}
         assert len(expansions) == 4
-        assert expansions == xor_solutions(system)
+        assert expansions == xor_solutions(chain_instance)
 
     def test_contradictory_parity(self):
         inst = Instance(
@@ -98,11 +102,10 @@ class TestReduce:
             if not isinstance(outcome, XorInfeasible):
                 continue
             seen += 1
-            system = build_linear_system(inst)
-            rows = system.matrix[list(outcome.witness)]
-            assert not np.any(np.bitwise_xor.reduce(rows, axis=0))
-            assert np.bitwise_xor.reduce(system.rhs[list(outcome.witness)]) == 1
-            assert outcome.m_prime == gf2.rank(system.matrix)
+            matrix, rhs = dense_parity_system(inst)
+            assert not np.any(np.bitwise_xor.reduce(matrix[list(outcome.witness)], axis=0))
+            assert np.bitwise_xor.reduce(rhs[list(outcome.witness)]) == 1
+            assert outcome.m_prime == gf2.rank(packed_rows(matrix))
             assert type(outcome.m_prime) is int
         assert seen > 5
 
@@ -160,10 +163,10 @@ class TestExpand:
 class TestExpandStandard:
     def test_membership_for_all_parameters(self, chain_instance):
         r = reduce_instance(chain_instance)
-        system = build_linear_system(chain_instance)
+        matrix, rhs = dense_parity_system(chain_instance)
         for bits in itertools.product((0, 1), repeat=r.free_count):
             x = r.standard.expand(np.array(bits, dtype=np.uint8))
-            assert np.array_equal(gf2.matvec(system.matrix, x), system.rhs)
+            assert np.array_equal(gf2.matvec(matrix, x), rhs)
 
     def test_same_set_as_plain_expansion(self, chain_instance):
         r = reduce_instance(chain_instance)
@@ -173,9 +176,9 @@ class TestExpandStandard:
 
     def test_zero_parameter_is_valid_solution(self, chain_instance):
         r = reduce_instance(chain_instance)
-        system = build_linear_system(chain_instance)
+        matrix, rhs = dense_parity_system(chain_instance)
         x = r.standard.expand([0, 0])
-        assert np.array_equal(gf2.matvec(system.matrix, x), system.rhs)
+        assert np.array_equal(gf2.matvec(matrix, x), rhs)
 
     def test_free_block_equals_parameter(self, chain_instance):
         r = reduce_instance(chain_instance)
@@ -183,6 +186,14 @@ class TestExpandStandard:
         for bits in itertools.product((0, 1), repeat=2):
             x = r.standard.expand(bits)
             assert tuple(x[list(sf.free)]) == bits
+
+    def test_more_parameters_than_k_are_refused(self, chain_instance):
+        sf = reduce_instance(chain_instance).standard
+        for extra in ([0, 1, 1], [0, 1, 0], np.zeros(5, dtype=np.uint8)):
+            with pytest.raises(ValueError, match=rf"^{len(extra)} parameters .* k = 2$"):
+                sf.expand(extra)
+        assert np.array_equal(sf.expand(()), gf2._unpack([sf.point], sf.n)[0])
+        assert np.array_equal(sf.expand([0, 1]), sf.expand(iter([0, 1])))
 
 
 class TestKernelExcess:
@@ -203,8 +214,7 @@ class TestKernelExcess:
             m = int(rng.integers(int(np.ceil(2 * n / 3)), 2 * n))
             inst = gen_locked_random(n, m, 3, 1, seed=int(rng.integers(1 << 30)))
             outcome = reduce_instance(inst)
-            system = build_linear_system(inst)
-            expected = inst.m - gf2.rank(system.matrix)
+            expected = inst.m - gf2.rank(packed_rows(dense_parity_system(inst)[0]))
             if isinstance(outcome, Reduction):
                 assert kernel_excess(inst, outcome) == expected
                 assert kernel_excess(inst, outcome) >= 0
@@ -225,12 +235,12 @@ class TestEnsembleInvariants:
             if isinstance(outcome, XorInfeasible):
                 assert not solutions
                 continue
-            system = build_linear_system(inst)
+            matrix, rhs = dense_parity_system(inst)
             k = outcome.free_count
             block = bit_block(0, 1 << k, k)
             expansions = expand_rows(outcome, block)
             for x in expansions:
-                assert np.array_equal(gf2.matvec(system.matrix, x), system.rhs)
+                assert np.array_equal(gf2.matvec(matrix, x), rhs)
             expansion_set = {tuple(x) for x in expansions}
             assert len(expansion_set) == 1 << (inst.n - outcome.m_prime)
             assert solutions <= expansion_set

@@ -27,7 +27,6 @@ from xorsat_reduce.instances import (
 from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
-    build_linear_system,
     expand_index,
     reduce_instance,
 )
@@ -42,7 +41,7 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import expand_rows, pack_space, reference_solutions
+from conftest import dense_parity_system, expand_rows, pack_space, reference_solutions
 
 
 def free_block_coverage(instance, reduction):
@@ -220,10 +219,10 @@ class TestBacktrack:
             point=sum(1 << 2 * i + 1 for i in range(k)),
             n=n,
         )
-        system = build_linear_system(inst)
-        assert np.array_equal(gf2.matvec(system.matrix, offset), system.rhs)
+        matrix, rhs = dense_parity_system(inst)
+        assert np.array_equal(gf2.matvec(matrix, offset), rhs)
         # A @ kernel.T over the integers (entries at most 2, exact in float32), then mod 2
-        assert not ((system.matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
+        assert not ((matrix.astype(np.float32) @ kernel.T.astype(np.float32)) % 2).any()
         rows, point, _ = pack_space(kernel, offset)
         assert (tuple(rows), point) == (standard.rows, standard.point)
         r = Reduction(basis=standard, standard=standard)

@@ -126,6 +126,30 @@ def test_every_exported_name_is_read():
     assert sorted(set(xorsat_reduce.__all__) - read - UNREAD_EXPORTS) == []
 
 
+# The dense surface of `gf2`: uint8-matrix entry points and the helpers that convert to and from them.
+DENSE_GF2_NAMES = {"row_reduce", "matvec", "kernel_basis", "solve_particular", "inconsistency_witness",
+                   "inverse", "as_bin_matrix", "as_bin_vec", "_pack", "_eliminate_arrays"}
+
+
+def test_only_gf2_reads_its_dense_names():
+    """Every other stage runs on packed rows; the dense `gf2` functions are read only by tests and `bench/`."""
+    found = []
+    for path in package_sources():
+        if path.name == "gf2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in DENSE_GF2_NAMES]
+    assert found == []
+
+
 def test_only_the_instance_module_walks_clause_objects():
     """Every stage reads the clause table; `Clause`/`Literal` are the constructor's input and a view."""
     found = [

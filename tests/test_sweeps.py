@@ -95,7 +95,7 @@ def test_xor_infeasible_rows_report_the_rank_of_the_parity_rows():
         if not isinstance(reduce_instance(inst), XorInfeasible):
             continue
         infeasible += 1
-        m_prime = gf2.rank(build_linear_system(inst).matrix)
+        m_prime = gf2.rank(build_linear_system(inst).rows)
         assert (row["m_prime"], row["k"], row["delta_k"]) == (m_prime, row["n"] - m_prime,
                                                                inst.m - m_prime)
         assert row["solutions"] == row["tree_nodes"] == row["tree_nodes_unoptimized"] == 0

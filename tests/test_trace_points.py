@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from xorsat_reduce import grover, solvers
+from xorsat_reduce import grover, solvers, sweeps
 from xorsat_reduce.instances import Clause, Instance, Literal, gen_locked_random
 from xorsat_reduce.reduction import Reduction, expand_index, reduce_instance
 
@@ -55,6 +55,19 @@ def test_tracer_installs_and_restores_every_trace_point():
     parents = [span[3] for span in tracer.spans]
     assert names == ["solvers.scan", "reduction.reduce", "gf2.standard_form"]
     assert parents == [-1, 0, 1]
+
+
+def test_kernel_sweep_spans_time_generation_and_the_packed_rank():
+    """A kernel sample generates, builds the packed parity system and ranks it, each under the sweep."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rows, _ = sweeps.kernel_sweep(sweeps.SweepConfig("occ1in3", (12,), 1.0, samples=1, threads=1))
+    assert [row["kind"] for row in rows] == ["sample"]
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    parents = [span[3] for span in tracer.spans]
+    assert names == ["sweeps.kernel_sweep", "instances.gen", "reduction.build_linear_system", "gf2.rank"]
+    assert parents == [-1, 0, 0, 0]
 
 
 def test_checker_expands_indices_like_the_library():
