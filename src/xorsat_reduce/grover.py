@@ -80,15 +80,12 @@ def grover_search_known(
     (or everything) marked the oracle is the identity (or -1) and the
     state stays uniform.
     """
-    k = spec.free_count
-    if k > SEARCH_MAX_FREE:
-        raise GuardExceeded("reduced-space dimension k", k, SEARCH_MAX_FREE)
-    total = 1 << k
+    total = 1 << spec.free_count
     if not 1 <= v_count <= total:
         raise ValueError(f"marked count {v_count} not in [1, {total}]")
+    mask = spec.solution_mask  # the k guard, read before total / v_count can overflow a float
     rng = np.random.default_rng(rng)
     iterations = int(math.pi / 4 * math.sqrt(total / v_count))
-    mask = spec.solution_mask
     marked = int(np.count_nonzero(mask))
     p_marked, p_unmarked = _class_probabilities(math.asin(math.sqrt(marked / total)), iterations)
     per_marked = p_marked / marked if marked else 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .errors import GenerationError, GuardExceeded, ParseError
-from .instances import Instance
+from .instances import Instance, read_records
 from .reduction import XorInfeasible, expand_index, reduce_instance, scan
 
 BRUTE_FORCE_MAX_NODES = 12
@@ -243,53 +243,36 @@ def random_bipartite_regular_graph(half: int, degree: int = 3, seed: int | np.ra
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the DIMACS-style edge format; inverse of emit_graph."""
-    n = None
-    m_declared = 0
-    edges: list[tuple[int, int]] = []
+    """Parse the DIMACS-style edge format; inverse of emit_graph.
+
+    Format (`read_records`): optional `c` comment lines, one
+    `p edge <n> <m>` header, then one `e <u> <v>` line per edge with
+    1-based endpoints.
+    """
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+
+    def read_edge(line: str, lineno: int, header) -> tuple[int, int]:
         fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "duplicate header")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError(lineno, f"malformed header {line!r}, expected 'p edge <n> <m>'")
-            try:
-                n, m_declared = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer header field in {line!r}") from None
-            if n < 0 or m_declared < 0:
-                raise ParseError(lineno, f"header values out of range: n={n} m={m_declared}")
-            continue
-        if fields[0] == "e":
-            if n is None:
-                raise ParseError(lineno, "edge line before header")
-            if len(fields) != 3:
-                raise ParseError(lineno, f"malformed edge line {line!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(lineno, f"non-integer endpoint in {line!r}") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(lineno, f"endpoint out of range in {line!r} (n = {n})")
-            if u == v:
-                raise ParseError(lineno, f"self-loop at node {u}")
-            pair = (min(u, v) - 1, max(u, v) - 1)
-            if pair in seen:
-                raise ParseError(lineno, f"duplicate edge {u} {v}")
-            seen.add(pair)
-            edges.append(pair)
-            continue
-        raise ParseError(lineno, f"unrecognized line {line!r}")
-    last_line = max(1, len(text.splitlines()))
-    if n is None:
-        raise ParseError(last_line, "missing 'p edge' header")
-    if len(edges) != m_declared:
-        raise ParseError(last_line, f"header declares {m_declared} edges, found {len(edges)}")
+        if fields[0] != "e":
+            raise ParseError(lineno, f"unrecognized line {line!r}")
+        if len(fields) != 3:
+            raise ParseError(lineno, f"malformed edge line {line!r}")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer endpoint in {line!r}") from None
+        n = header[0]
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(lineno, f"endpoint out of range in {line!r} (n = {n})")
+        if u == v:
+            raise ParseError(lineno, f"self-loop at node {u}")
+        pair = (min(u, v) - 1, max(u, v) - 1)
+        if pair in seen:
+            raise ParseError(lineno, f"duplicate edge {u} {v}")
+        seen.add(pair)
+        return pair
+
+    (n, _), edges = read_records(text, "edge", "edge", ("n", "m"), (0, 0), read_edge)
     return Graph(n, tuple(edges))
 
 

@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .bits import bit_block
 from .errors import GenerationError, GuardExceeded, ParseError
 
 BRUTE_FORCE_MAX_VARS = 24
@@ -168,6 +167,17 @@ def eval_instance(instance: Instance, assignment) -> bool:
     return all(eval_clause(c, values) for c in instance.clauses)
 
 
+def bit_block(start: int, stop: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic (MSB-first) enumeration of width-bit vectors.
+
+    Returns a (stop - start, width) uint8 array; row i holds the bits of
+    start + i, most significant first.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
 def brute_force_solutions(instance: Instance) -> list[np.ndarray]:
     """All satisfying assignments, lexicographically ordered (x1 most significant).
 
@@ -267,53 +277,65 @@ def _repair_degrees(clause_vars, degree, rng) -> None:
                 )
 
 
-def parse_instance(text: str) -> Instance:
-    """Parse the occupation file format; inverse of emit_instance.
+def read_records(text: str, kind: str, record: str, names, minimums, read_line):
+    """The file grammar both input formats share: (header values, one `read_line` result per body line).
 
-    Format: optional `c` comment lines, one `p occ <n> <M> <q_default>`
-    header, then one clause per line as signed 1-based literals
-    terminated by 0, optionally prefixed with `q=<int>`.
+    Blank lines and stripped lines starting with `c` are skipped. A
+    stripped line starting with `p` is the header, which must appear
+    once, before every body line, as exactly `p <kind>` and one int per
+    name in `names`, each at least its entry of `minimums`; the second
+    value is the declared count of body lines. Every other line is a
+    `record` line, passed as `read_line(line, lineno, header)`.
     """
-    n = None
-    m_declared = 0
-    q_default = 1
-    variables: list[tuple[int, ...]] = []
-    negations: list[int] = []
-    occupations: list[int] = []
+    header = None
+    results = []
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
-            if n is not None:
+            if header is not None:
                 raise ParseError(lineno, "duplicate header")
             fields = line.split()
-            if len(fields) != 5 or fields[1] != "occ":
-                raise ParseError(lineno, f"malformed header {line!r}, expected 'p occ <n> <M> <q>'")
+            if len(fields) != 2 + len(names) or fields[:2] != ["p", kind]:
+                expected = " ".join(["p", kind] + [f"<{name}>" for name in names])
+                raise ParseError(lineno, f"malformed header {line!r}, expected {expected!r}")
             try:
-                n, m_declared, q_default = (int(f) for f in fields[2:])
+                header = tuple(int(f) for f in fields[2:])
             except ValueError:
                 raise ParseError(lineno, f"non-integer header field in {line!r}") from None
-            if n < 0 or m_declared < 0 or q_default < 1:
-                raise ParseError(lineno, f"header values out of range: n={n} M={m_declared} q={q_default}")
+            if any(value < least for value, least in zip(header, minimums)):
+                values = " ".join(f"{name}={value}" for name, value in zip(names, header))
+                raise ParseError(lineno, f"header values out of range: {values}")
             continue
-        if n is None:
-            raise ParseError(lineno, "clause line before header")
-        clause_vars, negated, q = _parse_clause_line(line, lineno, n, q_default)
-        variables.append(clause_vars)
-        negations.append(negated)
-        occupations.append(q)
+        if header is None:
+            raise ParseError(lineno, f"{record} line before header")
+        results.append(read_line(line, lineno, header))
     last_line = max(1, len(lines))
-    if n is None:
-        raise ParseError(last_line, "missing 'p occ' header")
-    if len(occupations) != m_declared:
-        raise ParseError(last_line, f"header declares {m_declared} clauses, found {len(occupations)}")
-    return Instance._from_table(n, tuple(variables), tuple(negations), tuple(occupations))
+    if header is None:
+        raise ParseError(last_line, f"missing 'p {kind}' header")
+    if len(results) != header[1]:
+        raise ParseError(last_line, f"header declares {header[1]} {record}s, found {len(results)}")
+    return header, results
 
 
-def _parse_clause_line(line: str, lineno: int, n: int, q_default: int) -> tuple[tuple[int, ...], int, int]:
+def parse_instance(text: str) -> Instance:
+    """Parse the occupation file format; inverse of emit_instance.
+
+    Format (`read_records`): optional `c` comment lines, one
+    `p occ <n> <M> <q_default>` header, then one clause per line as
+    signed 1-based literals terminated by 0, optionally prefixed with
+    `q=<int>`.
+    """
+    (n, _, _), rows = read_records(text, "occ", "clause", ("n", "M", "q"), (0, 0, 1), _parse_clause_line)
+    variables, negations, occupations = zip(*rows) if rows else ((), (), ())
+    return Instance._from_table(n, variables, negations, occupations)
+
+
+def _parse_clause_line(line: str, lineno: int, header) -> tuple[tuple[int, ...], int, int]:
     """(variables, negation bits over literal positions, q) of one clause line."""
+    n, _, q_default = header
     tokens = line.split()
     q = q_default
     if tokens and tokens[0].startswith("q="):

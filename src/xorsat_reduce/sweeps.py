@@ -55,6 +55,8 @@ class SweepConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.problem == "custom" and (self.p is None or self.q is None):
             raise ValueError("custom problems need explicit p and q")
+        if self.problem != "custom" and (self.p is not None or self.q is not None):
+            raise ValueError(f"p and q are for custom problems only, not {self.problem!r}")
         p, q = self.arity
         for n in self.n_list:
             check_generator_parameters(n, self.clause_count(n), p, q, self.negation_prob)

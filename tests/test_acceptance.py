@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from xorsat_reduce import gf2
-from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import (
     RESOURCE_BOUND_CONSTANT,
     OracleSpec,
@@ -35,7 +34,7 @@ from xorsat_reduce.hamcycle import (
     random_regular_graph,
     solve_hc,
 )
-from xorsat_reduce.instances import brute_force_solutions, eval_instance, gen_locked_random
+from xorsat_reduce.instances import bit_block, brute_force_solutions, eval_instance, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep

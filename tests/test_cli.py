@@ -443,6 +443,9 @@ def test_sweep_edge_rows_are_pinned(capsys, tmp_path, argv, kinds, digest, threa
     ["sweep-tree", "--n-list", "-3", "--alpha", "0.8"],
     ["sweep-kernel", "--n-list", "10", "--alpha", "0.8", "--problem", "custom"],
     ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--problem", "custom", "--p", "3", "--q", "5"],
+    ["sweep-kernel", "--problem", "occ1in3", "--n-list", "9", "--alpha", "1.0", "--samples", "1", "--p", "5",
+     "--q", "2"],
+    ["sweep-tree", "--n-list", "10", "--alpha", "0.8", "--samples", "1", "--q", "2"],
     ["sweep-tree", "--n-list", "2", "--alpha", "1.0"],
     ["gen", "--n", "0"],
     ["gen", "--n", "5", "--neg-prob", "2"],

@@ -19,10 +19,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsat_reduce.bits import bit_block
 from xorsat_reduce.grover import OracleSpec
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
-from xorsat_reduce.instances import Clause, Instance, Literal, brute_force_solutions
+from xorsat_reduce.instances import Clause, Instance, Literal, bit_block, brute_force_solutions
 from xorsat_reduce.reduction import XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import (
     TreeStats,

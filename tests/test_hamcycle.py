@@ -341,6 +341,10 @@ class TestGraphIO:
             ("e 1 2\n", 1, "before header"),
             ("p edge 3 2\ne 1 2\n", 2, "declares 2 edges"),
             ("p edge 3 1\nx 1 2\n", 2, "unrecognized"),
+            # Every line starting with `p` is the header, and no other line comes before it.
+            ("pedge 3 1\ne 1 2\n", 1, "malformed header"),
+            ("x 1 2\np edge 3 1\ne 1 2\n", 1, "edge line before header"),
+            ("p edge 3 1\ne 1 2\npedge 3 1\n", 3, "duplicate header"),
         ],
     )
     def test_parse_errors(self, text, lineno, fragment):

@@ -393,6 +393,7 @@ class TestParseEmit:
             ("p occ 2 2 1\n1 2 0\n", 2, "declares 2 clauses"),
             ("p occ 2 1 1\n1 x 0\n", 2, "bad literal"),
             ("p occ 2 1 1\np occ 2 1 1\n", 2, "duplicate header"),
+            ("pizza occ 3 1 1\n1 0\n", 1, "malformed header"),  # the header is exactly `p occ`
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, lineno, fragment):

@@ -6,9 +6,9 @@ int() and str.split() accept or reject in surprising ways: `-0`, `1_0`,
 20-digit numbers, NUL, CR, a non-breaking space, a Unicode line
 separator and a non-ASCII digit. Parsed instances are not reduced here:
 a header may declare an n whose parity rows could not be allocated.
-A seeded corpus from the same pieces, plus hand cases, pins the outcome
-of every document: the instance it parses to, or the line and message of
-its ParseError.
+A seeded corpus per format from the same pieces, plus hand cases, pins
+the outcome of every document: the instance or graph it parses to, or the
+line and message of its ParseError.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorsat_reduce.errors import ParseError
-from xorsat_reduce.hamcycle import parse_graph
+from xorsat_reduce.hamcycle import emit_graph, parse_graph
 from xorsat_reduce.instances import emit_instance, parse_instance
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None, max_examples=250)
@@ -126,12 +126,60 @@ def parse_corpus(count: int = 3000, seed: int = 20261019) -> list[str]:
     return documents
 
 
-def parse_digest(documents) -> str:
-    """sha256 over each document's outcome: the emitted instance, or the ParseError's line and message."""
+GRAPH_HAND_CASES = [
+    "p edge 3 1\ne 1 2\n",
+    "pedge 3 1\ne 1 2\n",  # a `p` line that is not `p edge`
+    "x 1 2\np edge 3 1\ne 1 2\n",  # a line that is not an edge line, before the header
+    "p edge 3 1\ne 1 2\npedge 3 1\n",
+    "p edge 3 1\ne 1 2\np edge 3 1\n",
+    "e 1 2\np edge 3 1\n",
+    "p edge 3 2\ne 1 2\ne 2 1\n",
+    "p edge 3 1\ne 1 1\n",
+    "p edge 3 1\ne 1 4\n",
+    "p edge 3 1\ne 1 x 4\n",
+    "p edge 3 1\ne 1\n",
+    "p edge 3 1\nE 1 2\n",
+    "p edge 12 1\ne 1_0 +2\n",
+    "p edge 3 1 1\n",
+    "p edge -1 0\n",
+    "p edge 3 x\n",
+    "p occ 3 1 1\n",
+    "p edge 3 2\ne 1 2\n",
+    "p edge 3 0\n",
+    "  c indented comment\r\np edge 3 1\r\ne\t2 3 \r\n",
+    "",
+    "\n\n",
+]
+GRAPH_LINES = ["e 1 2", "e 2 3", "e 3 1", "e 1 2 3", "pedge 3 1", "p edge 3 1", "1 2", "c x", ""]
+
+
+def graph_corpus(count: int = 3000, seed: int = 20261020) -> list[str]:
+    """The graph hand cases, then `count` seeded documents built like `parse_corpus`'s.
+
+    Half of the documents start with a `p edge` header that declares their
+    line count, and half of the soup lines start with `e`.
+    """
+    rng = random.Random(seed)
+    documents = list(GRAPH_HAND_CASES)
+    for _ in range(count):
+        lines = []
+        for _ in range(rng.randint(0, 4)):
+            if rng.random() < 0.4:
+                lines.append(rng.choice(GRAPH_LINES))
+            else:
+                tokens = [rng.choice(TOKENS) for _ in range(rng.randint(0, 3))]
+                lines.append(" ".join(["e"] * (rng.random() < 0.5) + tokens))
+        header = rng.choice(HEADERS) if rng.random() < 0.5 else f"p edge 3 {len(lines)}"
+        documents.append(rng.choice(SEPARATORS).join([header, *lines]))
+    return documents
+
+
+def parse_digest(documents, parse=parse_instance, emit=emit_instance) -> str:
+    """sha256 over each document's outcome: the emitted parse, or the ParseError's line and message."""
     digest = hashlib.sha256()
     for text in documents:
         try:
-            outcome = emit_instance(parse_instance(text))
+            outcome = emit(parse(text))
         except ParseError as err:
             outcome = repr((err.line, err.message))
         digest.update(outcome.encode() + b"\x1e")
@@ -141,3 +189,9 @@ def parse_digest(documents) -> str:
 def test_parse_outcomes_are_pinned():
     """Recorded before the parser filled the clause table directly."""
     assert parse_digest(parse_corpus()) == "42d603280e96ec2389c598f236dcfa83f0956858f73e6a10dde4bc1a2d603e29"
+
+
+def test_graph_parse_outcomes_are_pinned():
+    """Recorded when both formats came to share one reader."""
+    digest = parse_digest(graph_corpus(), parse_graph, emit_graph)
+    assert digest == "3d8a8a939a397e6178f359f5f071730054ad90e061ff052ed851d74a9e5902e1"

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from xorsat_reduce import gf2, reduction
-from xorsat_reduce.bits import bit_block
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, oracle_resources
 from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
@@ -18,6 +17,7 @@ from xorsat_reduce.instances import (
     Clause,
     Instance,
     Literal,
+    bit_block,
     brute_force_solutions,
     clause,
     gen_locked_random,

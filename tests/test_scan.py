@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorsat_reduce.bits import bit_block
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, grover_search_known
 from xorsat_reduce.hamcycle import complete_graph, hc_to_occupation, random_regular_graph, solve_hc
@@ -17,6 +16,7 @@ from xorsat_reduce.instances import (
     Clause,
     Instance,
     Literal,
+    bit_block,
     brute_force_solutions,
     clause,
     eval_instance,

@@ -53,6 +53,18 @@ def test_cli_reads_input_files_only_through_the_guarded_reader():
     assert readers == {"_read_input"}
 
 
+def test_one_reader_splits_input_text_into_lines():
+    """Instance and graph files share one header-and-line loop, `instances.read_records`."""
+    found = [
+        f"{path.name} {getattr(statement, 'name', '<module>')}"
+        for path in package_sources()
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    ]
+    assert found == ["instances.py read_records"]
+
+
 def test_no_blas_backed_numpy_calls():
     """No call wakes OpenBLAS's thread pool, whose workers spin on another core after the call returns.
 

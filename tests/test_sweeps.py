@@ -37,6 +37,12 @@ def test_negative_seed_and_fewer_than_one_thread_rejected(field, value):
         SweepConfig("occ1in3", (12,), 0.8, samples=1, **{field: value})
 
 
+@pytest.mark.parametrize("arity", [{"p": 5, "q": 2}, {"p": 3}, {"q": 1}])
+def test_arity_is_for_custom_problems_only(arity):
+    with pytest.raises(ValueError, match="custom problems only"):
+        SweepConfig("occ2in4", (12,), 0.8, samples=1, **arity)
+
+
 @pytest.mark.parametrize(("threads", "samples", "cores", "workers"), [
     (10**6, 3, 4, 3),     # no more workers than tasks
     (10**6, 10, 4, 4),    # no more workers than cores
