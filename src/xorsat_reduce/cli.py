@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -20,7 +19,7 @@ from . import __version__
 from .errors import GenerationError, GuardExceeded, ParseError
 from .grover import OracleSpec, grover_search_unknown, oracle_resources, query_cost_count, query_cost_decision
 from .hamcycle import hc_to_occupation, parse_graph, solve_hc
-from .instances import check_generator_parameters, emit_instance, gen_locked_random, parse_instance
+from .instances import check_generator_parameters, clause_count, emit_instance, gen_locked_random, parse_instance
 from .reduction import XorInfeasible, kernel_excess, reduce_instance
 from .solvers import (
     SolveOutcome, backtrack_count, backtrack_solve, count_enumerate, optimize_permutation, solve_enumerate,
@@ -114,8 +113,8 @@ def _search_record(instance, outcome, result, unsat: str = "UNSAT", **fields) ->
 
 
 def cmd_gen(args) -> int:
-    m = args.m if args.m is not None else int(math.floor(args.alpha * args.n))
     try:
+        m = args.m if args.m is not None else clause_count(args.n, args.alpha)
         check_generator_parameters(args.n, m, args.p, args.q, args.neg_prob)
     except ValueError as err:
         raise _BadInput(str(err)) from None

@@ -44,6 +44,14 @@ class Graph:
             normalized.append(pair)
         object.__setattr__(self, "edges", tuple(normalized))
 
+    @classmethod
+    def _from_edges(cls, n_nodes: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph over edges that their producer has already checked and normalized:
+        every pair (u, v) with 0 <= u < v < n_nodes, none repeated."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(n_nodes=n_nodes, edges=edges)
+        return graph
+
     @property
     def n_edges(self) -> int:
         return len(self.edges)
@@ -211,7 +219,7 @@ def _connected_simple_graph(n_nodes: int, draw_edges, failure: str) -> Graph:
                 break
             edges.add(edge)
         else:
-            graph = Graph(n_nodes, tuple(sorted(edges)))
+            graph = Graph._from_edges(n_nodes, tuple(sorted(edges)))
             if is_connected(graph):
                 return graph
     raise GenerationError(failure)
@@ -273,7 +281,7 @@ def parse_graph(text: str) -> Graph:
         return pair
 
     (n, _), edges = read_records(text, "edge", "edge", ("n", "m"), (0, 0), read_edge)
-    return Graph(n, tuple(edges))
+    return Graph._from_edges(n, tuple(edges))
 
 
 def emit_graph(graph: Graph) -> str:

@@ -17,6 +17,7 @@ Assignments are plain uint8 arrays of length n.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .errors import GenerationError, GuardExceeded, ParseError
 
 BRUTE_FORCE_MAX_VARS = 24
 _ENUM_BLOCK = 1 << 16
+_REPAIR_CHUNK = 64  # degree-repair attempts drawn per numpy call
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,18 @@ def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: fl
         raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
 
 
+def clause_count(n: int, alpha: float) -> int:
+    """M = floor(alpha * n), the clause count a density alpha gives n variables.
+
+    Raises ValueError naming alpha when alpha * n is not finite: an
+    infinite or NaN alpha, or a product that overflows a float.
+    """
+    try:
+        return math.floor(alpha * n)
+    except (OverflowError, ValueError):  # floor of an infinity, of NaN, or an int n beyond float range
+        raise ValueError(f"alpha * n must be finite, got alpha={alpha} n={n}") from None
+
+
 def _repair_degrees(clause_vars, degree, rng) -> None:
     """Swap under-used variables into clause slots until every degree is >= 2.
 
@@ -254,27 +268,59 @@ def _repair_degrees(clause_vars, degree, rng) -> None:
     the only ones ever lacking, and each is placed until its degree reaches
     two before the next is visited. Every placement gets 200 n + 100 draws
     of a (clause, slot) pair; GenerationError when one runs out of them.
+
+    An attempt draws `rng.integers(m)` for the clause and, unless that
+    clause already holds v, `rng.integers(p)` for the slot. The draws come
+    from `rng` exactly as these scalar calls would take them, a chunk at a
+    time, and the caller's generator ends where the scalar calls leave it:
+    - numpy draws every entry of `rng.integers(0, bounds)` with the same
+      bounded method (Lemire's) and from the same bit stream as a scalar
+      call with that bound, so one call with the bounds (m, p) repeated
+      `_REPAIR_CHUNK` times returns what that many alternating scalar
+      draws would, and leaves the same state;
+    - the stream leaves that pattern when a drawn clause holds v (the next
+      draw is a clause, not a slot) and when the repair ends or raises. At
+      each of these, `rng.bit_generator.state` is set back to the state
+      saved before the chunk and only the prefix of bounds used so far is
+      drawn again, which puts the generator where the scalar calls
+      stopped. An instance with no lacking variable draws nothing.
     """
     n, m, p = len(degree), len(clause_vars), len(clause_vars[0])
     attempts = 200 * n + 100
-    for v in [v for v, d in enumerate(degree) if d < 2]:
-        while degree[v] < 2:
-            for _ in range(attempts):
-                cv = clause_vars[int(rng.integers(m))]
-                if v in cv:
-                    continue
-                slot = int(rng.integers(len(cv)))
-                w = cv[slot]
-                if degree[w] < 3:
-                    continue
-                cv[slot] = v
-                degree[w] -= 1
-                degree[v] += 1
-                break
-            else:
-                raise GenerationError(
-                    f"could not lock n={n} m={m} p={p}: a placement ran out of {attempts} draws"
-                )
+    bounds = np.full(2 * _REPAIR_CHUNK, m)
+    bounds[1::2] = p
+    draws, used, saved = [], 0, None  # the chunk's draws, how many the loop has read, the state before it
+    try:
+        for v in [v for v, d in enumerate(degree) if d < 2]:
+            while degree[v] < 2:
+                for _ in range(attempts):
+                    if used == len(draws) or used % 2:  # spent, or a clause draw is due where a slot was drawn
+                        if used % 2:
+                            rng.bit_generator.state = saved
+                            rng.integers(0, bounds[:used])
+                        saved = rng.bit_generator.state
+                        draws, used = rng.integers(0, bounds).tolist(), 0
+                    cv = clause_vars[draws[used]]
+                    used += 1
+                    if v in cv:
+                        continue
+                    slot = draws[used]
+                    used += 1
+                    w = cv[slot]
+                    if degree[w] < 3:
+                        continue
+                    cv[slot] = v
+                    degree[w] -= 1
+                    degree[v] += 1
+                    break
+                else:
+                    raise GenerationError(
+                        f"could not lock n={n} m={m} p={p}: a placement ran out of {attempts} draws"
+                    )
+    finally:
+        if used < len(draws):
+            rng.bit_generator.state = saved
+            rng.integers(0, bounds[:used])
 
 
 def read_records(text: str, kind: str, record: str, names, minimums, read_line):

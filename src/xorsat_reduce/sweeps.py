@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf2
 from .errors import GenerationError
-from .instances import check_generator_parameters, gen_locked_random
+from .instances import check_generator_parameters, clause_count, gen_locked_random
 from .reduction import XorInfeasible, build_linear_system, reduce_instance
 from .solvers import backtrack_count, gamma_estimate, optimize_permutation
 
@@ -68,7 +68,7 @@ class SweepConfig:
         return PROBLEM_ARITIES[self.problem]
 
     def clause_count(self, n: int) -> int:
-        return int(math.floor(self.alpha * n))
+        return clause_count(n, self.alpha)
 
 
 def _sample_seeds(base_seed: int, n: int, sample: int):

@@ -476,6 +476,25 @@ def test_invalid_argument_is_a_usage_error(capsys, chain_file, k4_file, argv):
     assert "error: " in captured.err
 
 
+@pytest.mark.parametrize("command", [["gen", "--n", "10"], ["sweep-kernel", "--n-list", "10", "--samples", "1"],
+                                     ["sweep-tree", "--n-list", "10", "--samples", "1"]], ids=" ".join)
+@pytest.mark.parametrize("alpha", ["inf", "1e308", "nan"])
+def test_non_finite_alpha_is_a_usage_error(capsys, command, alpha):
+    """alpha * n is the clause count's rule; a product that is not finite names alpha, with no traceback."""
+    code = main(command + ["--alpha", alpha])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: alpha * n must be finite")
+
+
+def test_clause_count_beyond_float_range_is_a_usage_error(capsys):
+    """A 401-digit n overflows the float product alpha * n."""
+    code = main(["gen", "--n", "1" + "0" * 400, "--alpha", "1.0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: alpha * n must be finite")
+
+
 class ReadRecorder(argparse.Namespace):
     """Parsed arguments that remember which of them a command reads."""
 

@@ -250,10 +250,10 @@ def _reference_repair(clause_vars, degree, n, rng) -> None:
 
 class _StuckDraws(np.random.Generator):
     """Always draws clause 0, slot 0 (without touching the stream), so repairs that need
-    a second placement fail."""
+    a second placement fail. Zeros shaped like the bounds: the repair draws a chunk of them."""
 
     def integers(self, *args, **kwargs):
-        return 0
+        return np.zeros(np.shape(args[-1]), dtype=np.int64)
 
 
 def _generate_both(n, m, p, q, negation_prob, make_rng):
@@ -269,6 +269,13 @@ def _generate_both(n, m, p, q, negation_prob, make_rng):
         state = rng.bit_generator.state if isinstance(rng, np.random.Generator) else None
         outcomes.append((result, state))
     return outcomes
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 @st.composite
@@ -296,6 +303,27 @@ class TestGeneratorStream:
     def test_same_instances_and_rng_state(self, shape, negation_prob, seed, pass_generator):
         make_rng = (lambda: np.random.default_rng(seed)) if pass_generator else (lambda: seed)
         first, second = _generate_both(*shape, negation_prob, make_rng)
+        assert first == second
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64,
+                                               np.random.PCG64DXSM])
+    @settings(deadline=None, derandomize=True, database=None, max_examples=25)
+    @given(shape=generator_shapes(), seed=st.integers(0, 2**64 - 1))
+    @example(shape=(240, 160, 3, 1), seed=0)
+    def test_same_stream_from_every_bit_generator(self, bit_generator, shape, seed):
+        """A chunk of bounded draws equals the same scalar draws on each of numpy's bit generators."""
+        first, second = _generate_both(*shape, 0.5, lambda: np.random.Generator(bit_generator(seed)))
+        assert (first[0], _plain(first[1])) == (second[0], _plain(second[1]))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(deadline=None, derandomize=True, database=None, max_examples=40)
+    @given(shape=generator_shapes(), seed=st.integers(0, 2**64 - 1))
+    @example(shape=(240, 160, 3, 1), seed=0)
+    def test_same_stream_across_chunk_boundaries(self, chunk, shape, seed):
+        """Chunks of one to three attempts put chunk ends next to the rewinds on every instance."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instances, "_REPAIR_CHUNK", chunk)
+            first, second = _generate_both(*shape, 0.5, lambda: np.random.default_rng(seed))
         assert first == second
 
     def test_same_failure_after_every_restart(self):

@@ -65,6 +65,23 @@ def test_one_reader_splits_input_text_into_lines():
     assert found == ["instances.py read_records"]
 
 
+def test_only_the_degree_repair_rewinds_a_generator():
+    """Only `instances._repair_degrees` reaches a generator's bit generator, to read or set its state.
+
+    It rewinds the caller's generator after a chunk of draws, and its
+    stream is the one the tests pin against the scalar draws.
+    """
+    found = {
+        f"{path.name} {getattr(statement, 'name', '<module>')}"
+        for path in package_sources()
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+        or isinstance(node, ast.Constant) and node.value == "bit_generator"
+    }
+    assert found == {"instances.py _repair_degrees"}
+
+
 def test_no_blas_backed_numpy_calls():
     """No call wakes OpenBLAS's thread pool, whose workers spin on another core after the call returns.
 
