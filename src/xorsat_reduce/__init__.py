@@ -13,9 +13,6 @@ from .grover import (
 )
 from .hamcycle import (
     Graph,
-    brute_force_hc,
-    hc_cost_exponent,
-    hc_rank_check,
     hc_to_occupation,
     is_hamiltonian_cycle,
     solve_hc,
@@ -24,7 +21,6 @@ from .instances import (
     Clause,
     Instance,
     Literal,
-    brute_force_solutions,
     emit_instance,
     eval_clause,
     eval_instance,
@@ -71,8 +67,6 @@ __all__ = [
     "XorInfeasible",
     "backtrack_count",
     "backtrack_solve",
-    "brute_force_hc",
-    "brute_force_solutions",
     "build_linear_system",
     "count_enumerate",
     "emit_instance",
@@ -83,8 +77,6 @@ __all__ = [
     "gen_locked_random",
     "grover_search_known",
     "grover_search_unknown",
-    "hc_cost_exponent",
-    "hc_rank_check",
     "hc_to_occupation",
     "is_hamiltonian_cycle",
     "kernel_excess",

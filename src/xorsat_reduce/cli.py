@@ -1,8 +1,8 @@
 """Command-line front end: instance/graph I/O, solver dispatch, ensemble sweeps.
 
 Exit codes: 0 success (including certified UNSAT), 2 usage error (an
-invalid argument), parse error or unreadable input file, 3 guard
-exceeded, 4 generation failure.
+invalid argument), parse error, unreadable input file or unwritable
+--out file, 3 guard exceeded, 4 generation failure.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ _NO_SEARCH = SolveOutcome(False, None, 0)
 
 
 class _BadInput(Exception):
-    """An input file that cannot be read as UTF-8 text, or an argument the library rejects."""
+    """An input file that cannot be read as UTF-8 text, an --out file that cannot be written, or an
+    argument the library rejects."""
 
 
 def _read_input(path: str) -> str:
@@ -61,8 +62,12 @@ def _read_input(path: str) -> str:
 
 
 def _write_text(args, text: str):
+    """Write to --out, or to stdout without one; a failure to write the file becomes _BadInput."""
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as err:
+            raise _BadInput(f"cannot write {args.out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 

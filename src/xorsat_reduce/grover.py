@@ -35,11 +35,6 @@ SEARCH_MAX_FREE = 24
 SCHEDULE_GROWTH = 6 / 5
 CERTIFY_REPEATS = 32
 
-# total_gates <= RESOURCE_BOUND_CONSTANT * n^2 for the locked ensembles this
-# package targets (clause arity fixed and small, M = O(n)): module I is at
-# most (k+1)*n <= n*(n+1), and modules II-IV together are O(n log n).
-RESOURCE_BOUND_CONSTANT = 3
-
 
 @dataclass(eq=False)
 class OracleSpec:

@@ -5,6 +5,10 @@ exactly two of its incident edges to be selected. Solutions of that
 instance are disjoint unions of cycles covering every node; an extra
 connectivity filter keeps only single cycles. For a connected graph the
 parity system has rank n_nodes - 1, which pins the reduced-space size.
+The tests check that rank, the cost exponent n/4 + 1/2 it gives on
+3-regular graphs, and every solver's answer against a count by path
+enumeration; those references and the named graphs they run on live
+beside the tests, not in the package.
 """
 
 from __future__ import annotations
@@ -13,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
-from .errors import GenerationError, GuardExceeded, ParseError
+from .errors import GenerationError, ParseError
 from .instances import Instance, read_records
 from .reduction import XorInfeasible, expand_index, reduce_instance, scan
 
-BRUTE_FORCE_MAX_NODES = 12
 _GENERATOR_ATTEMPTS = 2000
 
 
@@ -106,11 +108,6 @@ def hc_to_occupation(graph: Graph) -> Instance:
     return Instance._from_table(graph.n_edges, variables, (0,) * graph.n_nodes, (2,) * graph.n_nodes)
 
 
-def hc_rank_check(graph: Graph) -> int:
-    """GF(2) rank of the packed node-edge incidence rows: n_nodes minus the component count."""
-    return gf2.rank(sum(1 << e for e in edges) for edges in graph.incident_edges())
-
-
 def is_hamiltonian_cycle(graph: Graph, edge_values) -> bool:
     """True iff the selected edges form one cycle through every node."""
     values = np.asarray(edge_values, dtype=np.uint8)
@@ -150,66 +147,12 @@ def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
     return None
 
 
-def hc_cost_exponent(graph: Graph) -> float:
-    """k/2 with k = n_edges - (n_nodes - 1); n/4 + 1/2 for 3-regular graphs."""
-    if not is_connected(graph):
-        raise ValueError("cost exponent is defined for connected graphs")
-    return (graph.n_edges - (graph.n_nodes - 1)) / 2
-
-
-def brute_force_hc(graph: Graph) -> int:
-    """Number of distinct undirected Hamiltonian cycles, by path enumeration.
-
-    Rotations and reflections are identified (K4 has 3). Guarded to
-    n_nodes <= 12.
-    """
-    n = graph.n_nodes
-    if n > BRUTE_FORCE_MAX_NODES:
-        raise GuardExceeded("node count", n, BRUTE_FORCE_MAX_NODES)
-    if n < 3:
-        return 0
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u, v in graph.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    visited = [False] * n
-    visited[0] = True
-
-    def extend(node: int, length: int) -> int:
-        if length == n:
-            return 1 if 0 in adjacency[node] else 0
-        total = 0
-        for nb in adjacency[node]:
-            if not visited[nb]:
-                visited[nb] = True
-                total += extend(nb, length + 1)
-                visited[nb] = False
-        return total
-
-    directed = extend(0, 1)
-    return directed // 2
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, tuple(outer + spokes + inner))
-
-
 def _connected_simple_graph(n_nodes: int, draw_edges, failure: str) -> Graph:
     """Rejection loop: the first draw without a self-loop or a repeated edge that is connected.
 
     `draw_edges()` returns one draw's edges; a bad edge ends the draw
-    before the rest of it is read.
+    before the rest of it is read. The tests' bipartite generator draws
+    through it too, so there is one rejection loop.
     """
     for _ in range(_GENERATOR_ATTEMPTS):
         edges = set()
@@ -233,21 +176,6 @@ def random_regular_graph(n: int, degree: int = 3, seed: int | np.random.Generato
     stubs = np.repeat(np.arange(n), degree)
     return _connected_simple_graph(n, lambda: rng.permutation(stubs).reshape(-1, 2).tolist(),
                                    f"no simple {degree}-regular graph found for n={n}")
-
-
-def random_bipartite_regular_graph(half: int, degree: int = 3, seed: int | np.random.Generator = 0) -> Graph:
-    """Random connected (degree, degree)-regular bipartite graph as a union of perfect matchings."""
-    if degree > half:
-        raise ValueError(f"degree {degree} exceeds side size {half}")
-    rng = np.random.default_rng(seed)
-
-    def matchings():  # lazy: a repeated edge ends the draw before the next matching is drawn
-        for _ in range(degree):
-            for i, j in enumerate(rng.permutation(half).tolist()):
-                yield i, half + j
-
-    return _connected_simple_graph(2 * half, matchings,
-                                   f"no simple ({degree},{degree})-bipartite graph for half={half}")
 
 
 def parse_graph(text: str) -> Graph:

@@ -11,8 +11,10 @@ it. The n-bit ints that the packed stages use, `variable_masks` and
 `negated_masks`, are derived on first use and cached on the instance.
 `Clause` and `Literal` are the constructor's input, `Instance(n, clauses)`,
 and the read-only `clauses` view, built only when something reads it;
-the evaluators and brute force walk that view as independent references.
-Assignments are plain uint8 arrays of length n.
+`eval_clause` and `eval_instance` walk that view, as a check of a
+candidate that is independent of the table (the brute-force enumeration
+the tests compare every solver against walks it too). Assignments are
+plain uint8 arrays of length n.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationError, GuardExceeded, ParseError
+from .errors import GenerationError, ParseError
 
-BRUTE_FORCE_MAX_VARS = 24
-_ENUM_BLOCK = 1 << 16
 _REPAIR_CHUNK = 64  # degree-repair attempts drawn per numpy call
 
 
@@ -146,11 +146,6 @@ class Instance:
         return tuple(masks)
 
 
-def clause(var_signs, q: int) -> Clause:
-    """Shorthand constructor from (var, negated) pairs."""
-    return Clause(tuple(Literal(v, bool(neg)) for v, neg in var_signs), q)
-
-
 def eval_clause(c: Clause, assignment) -> bool:
     """True iff exactly c.q literals are true under a full assignment."""
     values = np.asarray(assignment)
@@ -167,40 +162,6 @@ def eval_instance(instance: Instance, assignment) -> bool:
     if values.size != instance.n:
         raise ValueError(f"assignment length {values.size} != n = {instance.n}")
     return all(eval_clause(c, values) for c in instance.clauses)
-
-
-def bit_block(start: int, stop: int, width: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic (MSB-first) enumeration of width-bit vectors.
-
-    Returns a (stop - start, width) uint8 array; row i holds the bits of
-    start + i, most significant first.
-    """
-    idx = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-
-
-def brute_force_solutions(instance: Instance) -> list[np.ndarray]:
-    """All satisfying assignments, lexicographically ordered (x1 most significant).
-
-    Independent of the reduction pipeline; guarded to n <= 24. Each
-    clause's true literals are counted in int64, which no arity can
-    wrap; a q above p can never be met, so it is compared as p + 1.
-    """
-    if instance.n > BRUTE_FORCE_MAX_VARS:
-        raise GuardExceeded("brute-force variable count", instance.n, BRUTE_FORCE_MAX_VARS)
-    solutions: list[np.ndarray] = []
-    total = 1 << instance.n
-    for start in range(0, total, _ENUM_BLOCK):
-        block = bit_block(start, min(start + _ENUM_BLOCK, total), instance.n)
-        good = np.ones(len(block), dtype=bool)
-        for c in instance.clauses:
-            true_count = np.zeros(len(block), dtype=np.int64)
-            for lit in c.literals:
-                true_count += block[:, lit.var] ^ lit.negated
-            good &= true_count == min(c.q, c.p + 1)
-        solutions.extend(block[i].copy() for i in np.flatnonzero(good))
-    return solutions
 
 
 def gen_locked_random(

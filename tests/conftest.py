@@ -1,5 +1,6 @@
-"""Shared fixtures and the reference (non-library) evaluators, parity system, expansion, standard form and
-Grover statevector."""
+"""Shared fixtures and the references the library is checked against: evaluators, brute-force enumeration,
+parity system, expansion, standard form, Grover statevector, named graphs and the paper's Hamiltonian-cycle
+claims."""
 
 from __future__ import annotations
 
@@ -12,7 +13,23 @@ import numpy as np
 import pytest
 
 from xorsat_reduce import gf2
+from xorsat_reduce.errors import GuardExceeded
+from xorsat_reduce.hamcycle import Graph, _connected_simple_graph, is_connected
 from xorsat_reduce.instances import Clause, Instance, Literal
+
+BRUTE_FORCE_MAX_VARS = 24
+BRUTE_FORCE_MAX_NODES = 12
+_ENUM_BLOCK = 1 << 16
+
+# total_gates <= RESOURCE_BOUND_CONSTANT * n^2 for the locked ensembles the
+# package targets (clause arity fixed and small, M = O(n)): module I is at
+# most (k+1)*n <= n*(n+1), and modules II-IV together are O(n log n).
+RESOURCE_BOUND_CONSTANT = 3
+
+
+def clause(var_signs, q: int) -> Clause:
+    """Shorthand constructor from (var, negated) pairs."""
+    return Clause(tuple(Literal(v, bool(neg)) for v, neg in var_signs), q)
 
 
 def reference_satisfies(instance, bits) -> bool:
@@ -185,6 +202,40 @@ def dense_grover_step(state: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return 2 * flipped.mean() - flipped
 
 
+def bit_block(start: int, stop: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of the lexicographic (MSB-first) enumeration of width-bit vectors.
+
+    Returns a (stop - start, width) uint8 array; row i holds the bits of
+    start + i, most significant first.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
+def brute_force_solutions(instance: Instance) -> list[np.ndarray]:
+    """All satisfying assignments, lexicographically ordered (x1 most significant).
+
+    Independent of the reduction pipeline; guarded to n <= 24. Each
+    clause's true literals are counted in int64, which no arity can
+    wrap; a q above p can never be met, so it is compared as p + 1.
+    """
+    if instance.n > BRUTE_FORCE_MAX_VARS:
+        raise GuardExceeded("brute-force variable count", instance.n, BRUTE_FORCE_MAX_VARS)
+    solutions: list[np.ndarray] = []
+    total = 1 << instance.n
+    for start in range(0, total, _ENUM_BLOCK):
+        block = bit_block(start, min(start + _ENUM_BLOCK, total), instance.n)
+        good = np.ones(len(block), dtype=bool)
+        for c in instance.clauses:
+            true_count = np.zeros(len(block), dtype=np.int64)
+            for lit in c.literals:
+                true_count += block[:, lit.var] ^ lit.negated
+            good &= true_count == min(c.q, c.p + 1)
+        solutions.extend(block[i].copy() for i in np.flatnonzero(good))
+    return solutions
+
+
 def reference_solutions(instance):
     """All satisfying assignments as bit tuples, by direct enumeration."""
     return [
@@ -192,6 +243,85 @@ def reference_solutions(instance):
         for bits in itertools.product((0, 1), repeat=instance.n)
         if reference_satisfies(instance, bits)
     ]
+
+
+def brute_force_hc(graph: Graph) -> int:
+    """Number of distinct undirected Hamiltonian cycles, by path enumeration.
+
+    Rotations and reflections are identified (K4 has 3). Guarded to
+    n_nodes <= 12.
+    """
+    n = graph.n_nodes
+    if n > BRUTE_FORCE_MAX_NODES:
+        raise GuardExceeded("node count", n, BRUTE_FORCE_MAX_NODES)
+    if n < 3:
+        return 0
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in graph.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    visited = [False] * n
+    visited[0] = True
+
+    def extend(node: int, length: int) -> int:
+        if length == n:
+            return 1 if 0 in adjacency[node] else 0
+        total = 0
+        for nb in adjacency[node]:
+            if not visited[nb]:
+                visited[nb] = True
+                total += extend(nb, length + 1)
+                visited[nb] = False
+        return total
+
+    directed = extend(0, 1)
+    return directed // 2
+
+
+def hc_rank_check(graph: Graph) -> int:
+    """GF(2) rank of the packed node-edge incidence rows: n_nodes minus the component count."""
+    return gf2.rank(sum(1 << e for e in edges) for edges in graph.incident_edges())
+
+
+def hc_cost_exponent(graph: Graph) -> float:
+    """k/2 with k = n_edges - (n_nodes - 1); n/4 + 1/2 for 3-regular graphs."""
+    if not is_connected(graph):
+        raise ValueError("cost exponent is defined for connected graphs")
+    return (graph.n_edges - (graph.n_nodes - 1)) / 2
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, tuple(outer + spokes + inner))
+
+
+def random_bipartite_regular_graph(half: int, degree: int = 3, seed: int | np.random.Generator = 0) -> Graph:
+    """Random connected (degree, degree)-regular bipartite graph as a union of perfect matchings.
+
+    Draws through the package's rejection loop, `_connected_simple_graph`,
+    the one `random_regular_graph` uses.
+    """
+    if degree > half:
+        raise ValueError(f"degree {degree} exceeds side size {half}")
+    rng = np.random.default_rng(seed)
+
+    def matchings():  # lazy: a repeated edge ends the draw before the next matching is drawn
+        for _ in range(degree):
+            for i, j in enumerate(rng.permutation(half).tolist()):
+                yield i, half + j
+
+    return _connected_simple_graph(2 * half, matchings,
+                                   f"no simple ({degree},{degree})-bipartite graph for half={half}")
 
 
 @pytest.fixture

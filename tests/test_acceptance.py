@@ -14,38 +14,30 @@ import numpy as np
 import pytest
 
 from xorsat_reduce import gf2
-from xorsat_reduce.grover import (
-    RESOURCE_BOUND_CONSTANT,
-    OracleSpec,
-    grover_search_unknown,
-    oracle_resources,
-)
-from xorsat_reduce.hamcycle import (
-    Graph,
-    brute_force_hc,
-    complete_graph,
-    cycle_graph,
-    hc_cost_exponent,
-    hc_rank_check,
-    is_connected,
-    is_hamiltonian_cycle,
-    petersen_graph,
-    random_bipartite_regular_graph,
-    random_regular_graph,
-    solve_hc,
-)
-from xorsat_reduce.instances import bit_block, brute_force_solutions, eval_instance, gen_locked_random
+from xorsat_reduce.grover import OracleSpec, grover_search_unknown, oracle_resources
+from xorsat_reduce.hamcycle import Graph, is_connected, is_hamiltonian_cycle, random_regular_graph, solve_hc
+from xorsat_reduce.instances import eval_instance, gen_locked_random
 from xorsat_reduce.reduction import Reduction, XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 from xorsat_reduce.sweeps import SweepConfig, tree_sweep
 
 from conftest import (
+    RESOURCE_BOUND_CONSTANT,
+    bit_block,
+    brute_force_hc,
+    brute_force_solutions,
+    complete_graph,
+    cycle_graph,
     dense_grover_step,
     dense_parity_system,
     dense_standard,
     dense_uniform_state,
+    hc_cost_exponent,
+    hc_rank_check,
     packed_rows,
     partial_violated,
+    petersen_graph,
+    random_bipartite_regular_graph,
 )
 
 GROVER_SEEDS_PER_INSTANCE = 50

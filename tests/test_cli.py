@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from xorsat_reduce.cli import build_parser, main
-from xorsat_reduce.hamcycle import emit_graph, petersen_graph
+from xorsat_reduce.hamcycle import emit_graph
 from xorsat_reduce.instances import parse_instance
 
-from conftest import limit_address_space
+from conftest import limit_address_space, petersen_graph
 
 CHAIN_TEXT = """\
 p occ 5 3 1
@@ -204,6 +204,21 @@ def test_unreadable_input_exits_2_with_reason(capsys, tmp_path, command, kind):
     assert reason in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "9"],
+    ["sweep-kernel", "--n-list", "9", "--alpha", "1.0", "--samples", "1"],
+    ["sweep-tree", "--n-list", "9", "--alpha", "0.8", "--samples", "1"],
+], ids=["gen", "sweep-kernel", "sweep-tree"])
+@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2_with_reason(capsys, tmp_path, argv, kind):
+    path = tmp_path / "absent" / "out.txt" if kind == "missing-directory" else tmp_path
+    code = main([*argv, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    reason = {"missing-directory": "No such file or directory", "directory": "Is a directory"}[kind]
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
 class TestBacktrack:
     def test_chain(self, capsys, chain_file):
         record = run_json(capsys, "backtrack", chain_file, "--json")
@@ -320,8 +335,6 @@ class TestHc:
         assert touched == [1, 2, 3, 4]
 
     def test_petersen_no_hc(self, capsys, tmp_path):
-        from xorsat_reduce.hamcycle import emit_graph, petersen_graph
-
         path = tmp_path / "petersen.graph"
         path.write_text(emit_graph(petersen_graph()))
         record = run_json(capsys, "hc", str(path), "--json")

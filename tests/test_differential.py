@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from xorsat_reduce.grover import OracleSpec
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
-from xorsat_reduce.instances import Clause, Instance, Literal, bit_block, brute_force_solutions
+from xorsat_reduce.instances import Clause, Instance, Literal
 from xorsat_reduce.reduction import XorInfeasible, reduce_instance
 from xorsat_reduce.solvers import (
     TreeStats,
@@ -32,7 +32,14 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import dense_standard, expand_rows, partial_violated, reference_satisfies
+from conftest import (
+    bit_block,
+    brute_force_solutions,
+    dense_standard,
+    expand_rows,
+    partial_violated,
+    reference_satisfies,
+)
 
 SETTINGS = dict(deadline=None, derandomize=True, database=None)
 

@@ -20,15 +20,13 @@ from xorsat_reduce.instances import (
     Clause,
     Instance,
     Literal,
-    brute_force_solutions,
-    clause,
     eval_instance,
     gen_locked_random,
 )
 from xorsat_reduce.reduction import Reduction, expand_index, reduce_instance
 from xorsat_reduce.solvers import count_enumerate
 
-from conftest import dense_grover_step, dense_uniform_state
+from conftest import brute_force_solutions, clause, dense_grover_step, dense_uniform_state
 
 
 def spec_for(instance) -> OracleSpec:

@@ -12,24 +12,27 @@ import pytest
 from xorsat_reduce.errors import GenerationError, GuardExceeded, ParseError
 from xorsat_reduce.hamcycle import (
     Graph,
-    brute_force_hc,
-    complete_graph,
-    cycle_graph,
     emit_graph,
-    hc_cost_exponent,
-    hc_rank_check,
     hc_to_occupation,
     is_connected,
     is_hamiltonian_cycle,
     parse_graph,
-    petersen_graph,
-    random_bipartite_regular_graph,
     random_regular_graph,
     solve_hc,
 )
 from xorsat_reduce import hamcycle
-from xorsat_reduce.instances import brute_force_solutions
 from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
+
+from conftest import (
+    brute_force_hc,
+    brute_force_solutions,
+    complete_graph,
+    cycle_graph,
+    hc_cost_exponent,
+    hc_rank_check,
+    petersen_graph,
+    random_bipartite_regular_graph,
+)
 
 
 def two_triangles() -> Graph:

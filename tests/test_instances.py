@@ -18,9 +18,7 @@ from xorsat_reduce.instances import (
     Clause,
     Instance,
     Literal,
-    brute_force_solutions,
     check_generator_parameters,
-    clause,
     emit_instance,
     eval_clause,
     eval_instance,
@@ -32,6 +30,8 @@ from xorsat_reduce.solvers import backtrack_count, count_enumerate
 
 from conftest import (
     CHAIN_SOLUTIONS,
+    brute_force_solutions,
+    clause,
     limit_address_space,
     partial_violated,
     reference_satisfies,

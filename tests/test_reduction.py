@@ -13,15 +13,7 @@ from xorsat_reduce import gf2, reduction
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, oracle_resources
 from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
-from xorsat_reduce.instances import (
-    Clause,
-    Instance,
-    Literal,
-    bit_block,
-    brute_force_solutions,
-    clause,
-    gen_locked_random,
-)
+from xorsat_reduce.instances import Instance, gen_locked_random
 from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
@@ -31,7 +23,7 @@ from xorsat_reduce.reduction import (
     reduce_instance,
 )
 
-from conftest import dense_parity_system, expand_rows, packed_rows
+from conftest import bit_block, brute_force_solutions, clause, dense_parity_system, expand_rows, packed_rows
 
 
 def xor_solutions(instance):

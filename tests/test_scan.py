@@ -11,21 +11,18 @@ from hypothesis import strategies as st
 
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import OracleSpec, grover_search_known
-from xorsat_reduce.hamcycle import complete_graph, hc_to_occupation, random_regular_graph, solve_hc
+from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph, solve_hc
 from xorsat_reduce.instances import (
     Clause,
     Instance,
     Literal,
-    bit_block,
-    brute_force_solutions,
-    clause,
     eval_instance,
     gen_locked_random,
 )
 from xorsat_reduce.reduction import expand_index, reduce_instance, scan
 from xorsat_reduce.solvers import count_enumerate, solve_enumerate
 
-from conftest import expand_rows
+from conftest import bit_block, brute_force_solutions, clause, complete_graph, expand_rows
 
 F, T = False, True
 BLOCK = 1 << 16

@@ -15,15 +15,7 @@ from hypothesis import strategies as st
 from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph
-from xorsat_reduce.instances import (
-    Clause,
-    Instance,
-    Literal,
-    brute_force_solutions,
-    clause,
-    eval_instance,
-    gen_locked_random,
-)
+from xorsat_reduce.instances import Clause, Instance, Literal, eval_instance, gen_locked_random
 from xorsat_reduce.reduction import (
     Reduction,
     XorInfeasible,
@@ -41,7 +33,14 @@ from xorsat_reduce.solvers import (
     solve_enumerate,
 )
 
-from conftest import dense_parity_system, expand_rows, pack_space, reference_solutions
+from conftest import (
+    brute_force_solutions,
+    clause,
+    dense_parity_system,
+    expand_rows,
+    pack_space,
+    reference_solutions,
+)
 
 
 def free_block_coverage(instance, reduction):

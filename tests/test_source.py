@@ -119,45 +119,70 @@ def test_every_exported_name_resolves_once():
     assert (missing, repeated) == ([], [])
 
 
-# Exported for their readers outside the package: the independent brute-force
-# references the tests check every solver against, and the paper's HC claims
-# (rank n - 1 on a connected graph, the cost exponent) that the tests verify.
-UNREAD_EXPORTS = {"brute_force_solutions", "brute_force_hc", "hc_rank_check", "hc_cost_exponent"}
-
-
-def test_every_exported_name_is_read():
-    """The package keeps what it runs: each `__all__` name is read in `src/` or `bench/`.
-
-    A read is a load of the name or an attribute access by that name,
-    outside `__init__.py` and outside the name's own module-level
-    definition.
-    """
-    bench = PACKAGE.parents[1] / "bench"
-    sources = [path for path in package_sources() if path.name != "__init__.py"] + sorted(bench.rglob("*.py"))
-    read = set()
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        own = {
-            id(node): definition.name
-            for definition in tree.body
-            if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-            for node in ast.walk(definition)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if own.get(id(node)) != name:
-                read.add(name)
-    assert sorted(set(xorsat_reduce.__all__) - read - UNREAD_EXPORTS) == []
-
-
 # The dense surface of `gf2`: uint8-matrix entry points and the helpers that convert to and from them.
 DENSE_GF2_NAMES = {"row_reduce", "matvec", "kernel_basis", "solve_particular", "inconsistency_witness",
                    "inverse", "as_bin_matrix", "as_bin_vec", "_pack", "_eliminate_arrays"}
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's, or an assignment's plain targets."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [target.id for target in statement.targets if isinstance(target, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+def test_every_exported_name_is_read():
+    """The package keeps what it runs: each public module-level name in `src/` is read by code that runs.
+
+    Code that runs is every file in `bench/`, the package's module-level
+    statements that define nothing (the CLI's `main` call among them), and,
+    to a fixed point, each module-level definition that such code reads; a
+    name read only inside definitions nothing runs is unread too. A read is
+    a load of a name that its file defines or imports from the package,
+    where the enclosing definition does not bind that name itself, or an
+    attribute access by that name. References and named inputs that only
+    the tests read live in `tests/conftest.py`. The dense `gf2` names are
+    the one exception: `bench/spans.py` binds them by string.
+    """
+    bench = PACKAGE.parents[1] / "bench"
+    public = []  # "module.name" of each public module-level definition
+    reads = []  # (the names defined by the statement holding the read, empty where it always runs; name read)
+    for path in package_sources() + sorted(bench.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_package = path.parent == PACKAGE
+        defined = {name for statement in tree.body for name in defined_names(statement)} if in_package else set()
+        public += [f"{path.stem}.{name}" for name in sorted(defined) if not name.startswith("_")
+                   and not (path.name == "gf2.py" and name in DENSE_GF2_NAMES)]
+        known = defined | {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("xorsat_reduce"))
+            for alias in node.names
+        }
+        for statement in tree.body:
+            owners = set(defined_names(statement)) if in_package else set()
+            bound = set()
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.id for node in ast.walk(statement) if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Store)}
+                bound |= {node.arg for node in ast.walk(statement) if isinstance(node, ast.arg)}
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in known - bound:
+                        reads.append((owners, node.id))
+                elif isinstance(node, ast.Attribute):
+                    reads.append((owners, node.attr))
+    live: set[str] = set()
+    while True:
+        grown = live | {name for owners, name in reads if not owners or owners & live}
+        if grown == live:
+            break
+        live = grown
+    assert [name for name in public if name.split(".")[1] not in live] == []
 
 
 def test_only_gf2_reads_its_dense_names():
@@ -205,19 +230,6 @@ def test_seeds_become_generators_only_through_default_rng():
     assert found == []
 
 
-def private_definitions(tree: ast.Module):
-    """(name, node) of each module-level function, class and constant whose name has one leading underscore."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [target.id for target in targets if isinstance(target, ast.Name)]
-        else:
-            continue
-        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
-
-
 def test_every_private_module_level_name_is_read():
     """A private helper goes with its last reader: each is read somewhere outside its own definition.
 
@@ -236,7 +248,13 @@ def test_every_private_module_level_name_is_read():
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     bound[node.module, alias.name].append((reader, alias.asname or alias.name))
-    definitions = [(module, name, node) for module, tree in trees.items() for name, node in private_definitions(tree)]
+    definitions = [
+        (module, name, statement)
+        for module, tree in trees.items()
+        for statement in tree.body
+        for name in defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+    ]
     orphans = []
     for module, name, definition in definitions:
         inside = {id(node) for node in ast.walk(definition)}
