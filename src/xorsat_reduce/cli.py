@@ -61,19 +61,24 @@ def _read_input(path: str) -> str:
         raise _BadInput(f"cannot read {path}: {err}") from None
 
 
-def _write_text(args, text: str):
-    """Write to --out, or to stdout without one; a failure to write the file becomes _BadInput."""
-    if args.out:
+def _write_output(args, produce) -> None:
+    """Write the text `produce()` returns to --out, or to stdout without one. --out is opened
+    first, so an unwritable path costs no work, and a run stopped after the open leaves the file
+    empty, as shell redirection does; an OSError on the file becomes _BadInput."""
+    if not args.out:
+        sys.stdout.write(produce())
+        return
+    try:
+        stream = open(args.out, "w")
+    except OSError as err:
+        raise _BadInput(f"cannot write {args.out}: {err.strerror or err}") from None
+    with stream:  # closes the file, still empty, if produce() raises
+        text = produce()
         try:
-            Path(args.out).write_text(text)
+            with stream:  # closing flushes, so it is inside the try too
+                stream.write(text)
         except OSError as err:
             raise _BadInput(f"cannot write {args.out}: {err.strerror or err}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _bitstring(values) -> str:
-    return "".join(str(int(b)) for b in values)
 
 
 def _emit_record(args, record: dict):
@@ -81,13 +86,11 @@ def _emit_record(args, record: dict):
         print(json.dumps(record, sort_keys=True))
         return
     for key, value in record.items():
-        if isinstance(value, list) and key in ("assignment", "edges"):
-            if key == "assignment":
-                print(f"{key}: {_bitstring(value)}")
-            else:
-                print(f"{key}: " + " ".join(f"{u}-{v}" for u, v in value))
-        else:
-            print(f"{key}: {value}")
+        if key == "assignment":
+            value = "".join(map(str, value))
+        elif key == "edges":
+            value = " ".join(f"{u}-{v}" for u, v in value)
+        print(f"{key}: {value}")
 
 
 def _load(args):
@@ -123,10 +126,8 @@ def cmd_gen(args) -> int:
         check_generator_parameters(args.n, m, args.p, args.q, args.neg_prob)
     except ValueError as err:
         raise _BadInput(str(err)) from None
-    instance = gen_locked_random(
-        args.n, m, args.p, args.q, negation_prob=args.neg_prob, seed=args.seed
-    )
-    _write_text(args, emit_instance(instance))
+    _write_output(args, lambda: emit_instance(
+        gen_locked_random(args.n, m, args.p, args.q, negation_prob=args.neg_prob, seed=args.seed)))
     return 0
 
 
@@ -216,10 +217,7 @@ def _rows_to_csv(fields, rows, summaries) -> str:
     buffer.write(CSV_SCHEMA_COMMENT + "\n")
     writer = csv.DictWriter(buffer, fieldnames=fields, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    for row in summaries:
-        writer.writerow(row)
+    writer.writerows(rows + summaries)
     return buffer.getvalue()
 
 
@@ -243,14 +241,14 @@ def _sweep_config(args, **options) -> SweepConfig:
 
 
 def cmd_sweep_kernel(args) -> int:
-    rows, summaries = kernel_sweep(_sweep_config(args))
-    _write_text(args, _rows_to_csv(KERNEL_CSV_FIELDS, rows, summaries))
+    config = _sweep_config(args)
+    _write_output(args, lambda: _rows_to_csv(KERNEL_CSV_FIELDS, *kernel_sweep(config)))
     return 0
 
 
 def cmd_sweep_tree(args) -> int:
-    rows, summaries = tree_sweep(_sweep_config(args, perm_trials=args.perm_trials))
-    _write_text(args, _rows_to_csv(TREE_CSV_FIELDS, rows, summaries))
+    config = _sweep_config(args, perm_trials=args.perm_trials)
+    _write_output(args, lambda: _rows_to_csv(TREE_CSV_FIELDS, *tree_sweep(config)))
     return 0
 
 

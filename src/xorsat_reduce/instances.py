@@ -27,8 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GenerationError, ParseError
+from .errors import GenerationError, GuardExceeded, ParseError
 
+# Most literal slots p*m gen_locked_random fills (it bounds n too, as p*m >= 2n). At the guard, on 2 shared
+# cores, 1-in-3 with n = m took 3.2 s and 136 MB, and 1-in-1 with p*m = 2n, the slowest shape found, 13 s
+# and 240 MB; the largest instance the tests generate has 3,000 slots.
+GENERATE_MAX_SLOTS = 1 << 20
 _REPAIR_CHUNK = 64  # degree-repair attempts drawn per numpy call
 
 
@@ -178,8 +182,8 @@ def gen_locked_random(
     below two are repaired by swapping them into clause slots whose
     occupant can spare the occurrence. Each literal is independently
     negated with probability `negation_prob`. Deterministic for a fixed
-    seed. Raises GenerationError when p*m < 2n (pigeonhole-infeasible)
-    or when the repair runs out of draws.
+    seed. Raises GuardExceeded past GENERATE_MAX_SLOTS slots p*m, and
+    GenerationError when p*m < 2n or the repair runs out of draws.
     """
     check_generator_parameters(n, m, p, q, negation_prob)
     if p * m < 2 * n:
@@ -201,11 +205,13 @@ def gen_locked_random(
 
 
 def check_generator_parameters(n: int, m: int, p: int, q: int, negation_prob: float) -> None:
-    """Raise ValueError unless gen_locked_random accepts these parameters."""
+    """Raise ValueError unless gen_locked_random accepts these parameters; GuardExceeded past its guard."""
     if n < 1 or m < 0 or not 1 <= p <= n or not 1 <= q <= p:
         raise ValueError(f"bad generator parameters n={n} m={m} p={p} q={q}")
     if not 0.0 <= negation_prob <= 1.0:
         raise ValueError(f"negation_prob must be in [0, 1], got {negation_prob}")
+    if p * m > GENERATE_MAX_SLOTS:
+        raise GuardExceeded("generated literal slots p*m", p * m, GENERATE_MAX_SLOTS)
 
 
 def clause_count(n: int, alpha: float) -> int:

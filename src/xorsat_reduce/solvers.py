@@ -1,12 +1,12 @@
 """Classical decision, counting, and backtracking solvers over the reduced space.
 
-All solvers work on the affine space produced by `reduce_instance`; the
-backtracking pair additionally exploits the standard form, fixing free
-variables in index order (branch 0 before 1) and cutting a branch as
-soon as any clause is violated under the induced partial assignment.
-Their checks assume that every point of the space solves the instance's
-parity system, so the reduction they take must be the instance's own:
-from `reduce_instance`, or `optimize_permutation` of it.
+All solvers work on the affine space produced by `reduce_instance`. The
+backtracking pair is one walk, `_walk`, over a `StandardForm` of it: free
+variables fixed in index order (branch 0 before 1), a branch cut as soon
+as a clause is violated. On the RREF basis form its leaves come in the
+scan's order. Its checks assume that every point of the form solves the
+instance's parity system, so the form must be the instance's own: from
+`reduce_instance`, or `optimize_permutation` of it.
 """
 
 from __future__ import annotations
@@ -66,8 +66,49 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
     return sum(int(satisfied.sum()) for _, satisfied in scan(instance, reduction))
 
 
-class _BacktrackRun:
-    """One depth-first walk of the standard-form decision tree, on an explicit stack.
+def _compiled_checks(instance: Instance, form: gf2.StandardForm) -> tuple[list[list], list[list]]:
+    """Each depth's cut patterns and bounds checks for `_walk` on `form`: (cuts, checks)."""
+    k = form.free_count
+    # ready[c] is the depth from which coordinate c is determined; determined[d] masks
+    # the coordinates that no row at index d or above holds.
+    ready = [0] * form.n
+    determined = [(1 << form.n) - 1] * (k + 1)
+    seen = 0
+    for depth in range(k, 0, -1):
+        row = form.rows[depth - 1]
+        for var in _set_bits(row & ~seen):
+            ready[var] = depth
+        seen |= row
+        determined[depth - 1] = determined[k] ^ seen
+    cuts = [[] for _ in range(k + 1)]
+    checks = [[] for _ in range(k + 1)]
+    for clause_vars, mask, negated, q in zip(instance.variables, instance.variable_masks,
+                                             instance.negated_masks, instance.occupations):
+        depths = sorted([ready[v] for v in clause_vars])
+        p = len(depths)
+        # In depth order, `known` literals are determined at depths[known - 1]; each
+        # depth's check comes at its last literal.
+        for known, depth in enumerate(depths, 1):
+            if known < p and depths[known] == depth:
+                continue
+            lo = q - p + known
+            if known == p and q <= 2 and p - 2 <= q <= p:
+                if p == q + 2:
+                    cuts[depth].append((mask, mask ^ negated))
+                if q == 2:
+                    cuts[depth].append((mask, negated))
+            elif known > q or lo > 0:
+                held = mask & determined[depth]
+                checks[depth].append((held, negated & held, lo, q))
+    return cuts, checks
+
+
+def _walk(instance: Instance, form: gf2.StandardForm,
+          find_first: bool) -> tuple[int, np.ndarray | None, TreeStats]:
+    """One depth-first walk of `form`'s decision tree, on an explicit stack.
+
+    Returns the solutions counted, the first one (unpacked, and only when
+    `find_first` stops the walk on it) and the tree's node counts.
 
     The node at depth d has fixed the parameters v_i with i < d, and its
     packed assignment xs[d] is `point` XOR rows[i] for each of them set to
@@ -99,79 +140,37 @@ class _BacktrackRun:
     determined count, so it cuts at the first depth where it has one. Each
     node tests its depth's cut patterns, then its bounds.
     """
-
-    def __init__(self, instance: Instance, reduction: Reduction, find_first: bool):
-        self.find_first = find_first
-        self.standard = sf = reduction.standard
-        self.k = k = sf.free_count
-        # determined[d] masks the coordinates that no row at index d or above holds.
-        ready = [0] * sf.n
-        determined = [(1 << sf.n) - 1] * (k + 1)
-        seen = 0
-        for depth in range(k, 0, -1):
-            row = sf.rows[depth - 1]
-            for var in _set_bits(row & ~seen):
-                ready[var] = depth
-            seen |= row
-            determined[depth - 1] = determined[k] ^ seen
-        self.cuts = cuts = [[] for _ in range(k + 1)]
-        self.checks = checks = [[] for _ in range(k + 1)]
-        for clause_vars, mask, negated, q in zip(instance.variables, instance.variable_masks,
-                                                 instance.negated_masks, instance.occupations):
-            depths = sorted([ready[v] for v in clause_vars])
-            p = len(depths)
-            # In depth order, `known` literals are determined at depths[known - 1]; each
-            # depth's check comes at its last literal.
-            for known, depth in enumerate(depths, 1):
-                if known < p and depths[known] == depth:
-                    continue
-                lo = q - p + known
-                if known == p and q <= 2 and p - 2 <= q <= p:
-                    if p == q + 2:
-                        cuts[depth].append((mask, mask ^ negated))
-                    if q == 2:
-                        cuts[depth].append((mask, negated))
-                elif known > q or lo > 0:
-                    held = mask & determined[depth]
-                    checks[depth].append((held, negated & held, lo, q))
-        self.nodes_per_depth = [0] * (k + 1)
-        self.solution_count = 0
-        self.first_solution: np.ndarray | None = None
-
-    def run(self) -> TreeStats:
-        k, sf, cuts, checks = self.k, self.standard, self.cuts, self.checks
-        rows, nodes = sf.rows, self.nodes_per_depth
-        x = sf.point
-        xs = [x] * (k + 1)
-        depth = 0
-        while True:
-            nodes[depth] += 1
-            for mask, want in cuts[depth]:
-                if x & mask == want:
+    cuts, checks = _compiled_checks(instance, form)
+    k, rows = form.free_count, form.rows
+    nodes = [0] * (k + 1)
+    count = depth = 0
+    x = form.point
+    xs = [x] * (k + 1)
+    while True:
+        nodes[depth] += 1
+        for mask, want in cuts[depth]:
+            if x & mask == want:
+                break
+        else:
+            for mask, negated, lo, q in checks[depth]:
+                t = ((x ^ negated) & mask).bit_count()
+                if t > q or t < lo:
                     break
             else:
-                for mask, negated, lo, q in checks[depth]:
-                    t = ((x ^ negated) & mask).bit_count()
-                    if t > q or t < lo:
-                        break
-                else:
-                    if depth < k:
-                        depth += 1
-                        xs[depth] = x
-                        continue
-                    self.solution_count += 1
-                    if self.first_solution is None:
-                        self.first_solution = gf2._unpack([x], sf.n)[0]
-                    if self.find_first:
-                        break
-            # Leave 1-branches (rows[d] holds free[d], so xs changes there); the first
-            # 0-branch found turns into its 1-branch sibling.
-            while depth and xs[depth] != xs[depth - 1]:
-                depth -= 1
-            if not depth:
-                break
-            x = xs[depth] = xs[depth - 1] ^ rows[depth - 1]
-        return TreeStats(sum(nodes), tuple(nodes))
+                if depth < k:
+                    depth += 1
+                    xs[depth] = x
+                    continue
+                count += 1
+                if find_first:
+                    return count, gf2._unpack([x], form.n)[0], TreeStats(sum(nodes), tuple(nodes))
+        # Leave 1-branches (rows[d] holds free[d], so xs changes there); the first
+        # 0-branch found turns into its 1-branch sibling.
+        while depth and xs[depth] != xs[depth - 1]:
+            depth -= 1
+        if not depth:
+            return count, None, TreeStats(sum(nodes), tuple(nodes))
+        x = xs[depth] = xs[depth - 1] ^ rows[depth - 1]
 
 
 def backtrack_solve(instance: Instance, reduction) -> tuple[SolveOutcome, TreeStats]:
@@ -182,21 +181,16 @@ def backtrack_solve(instance: Instance, reduction) -> tuple[SolveOutcome, TreeSt
     """
     if isinstance(reduction, XorInfeasible):
         return SolveOutcome(False, None, 0), TreeStats(0, ())
-    run = _BacktrackRun(instance, reduction, find_first=True)
-    stats = run.run()
-    leaves = stats.nodes_per_depth[run.k]
-    if run.first_solution is not None:
-        return SolveOutcome(True, run.first_solution, leaves), stats
-    return SolveOutcome(False, None, leaves), stats
+    _, first, stats = _walk(instance, reduction.standard, find_first=True)
+    return SolveOutcome(first is not None, first, stats.nodes_per_depth[-1]), stats
 
 
 def backtrack_count(instance: Instance, reduction) -> tuple[int, TreeStats]:
     """Exhaustive decision-tree walk; the tree size here is the T used for gamma."""
     if isinstance(reduction, XorInfeasible):
         return 0, TreeStats(0, ())
-    run = _BacktrackRun(instance, reduction, find_first=False)
-    stats = run.run()
-    return run.solution_count, stats
+    count, _, stats = _walk(instance, reduction.standard, find_first=False)
+    return count, stats
 
 
 def _clause_masks(instance: Instance) -> list[int]:

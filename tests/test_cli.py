@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from xorsat_reduce import cli
 from xorsat_reduce.cli import build_parser, main
 from xorsat_reduce.hamcycle import emit_graph
 from xorsat_reduce.instances import parse_instance
@@ -204,19 +205,46 @@ def test_unreadable_input_exits_2_with_reason(capsys, tmp_path, command, kind):
     assert reason in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--n", "9"],
-    ["sweep-kernel", "--n-list", "9", "--alpha", "1.0", "--samples", "1"],
-    ["sweep-tree", "--n-list", "9", "--alpha", "0.8", "--samples", "1"],
+@pytest.mark.parametrize(("argv", "work"), [
+    (["gen", "--n", "9"], "gen_locked_random"),
+    (["sweep-kernel", "--n-list", "9", "--alpha", "1.0", "--samples", "1"], "kernel_sweep"),
+    (["sweep-tree", "--n-list", "9", "--alpha", "0.8", "--samples", "1"], "tree_sweep"),
 ], ids=["gen", "sweep-kernel", "sweep-tree"])
 @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
-def test_unwritable_output_exits_2_with_reason(capsys, tmp_path, argv, kind):
+def test_unwritable_output_exits_2_with_reason(capsys, monkeypatch, tmp_path, argv, work, kind):
+    """--out is opened before the command generates an instance or computes a sample."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was opened")
+
+    monkeypatch.setattr(cli, work, never)
     path = tmp_path / "absent" / "out.txt" if kind == "missing-directory" else tmp_path
     code = main([*argv, "--out", str(path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     reason = {"missing-directory": "No such file or directory", "directory": "Is a directory"}[kind]
     assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "3", "--p", "1", "--q", "1", "--m", "100000000000"],
+    ["gen", "--n", "3", "--p", "1", "--q", "1", "--alpha", "1e300"],
+    ["gen", "--n", "1000000000", "--alpha", "1"],
+    ["sweep-kernel", "--n-list", "1000000000", "--alpha", "1", "--samples", "1"],
+], ids=" ".join)
+def test_oversized_generation_exits_3_under_a_memory_limit(argv):
+    """More than GENERATE_MAX_SLOTS literal slots is refused before anything is drawn.
+
+    Each command runs in a child process limited to 2 GiB of address space.
+    """
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "xorsat_reduce.cli", *argv],
+        capture_output=True, text=True, preexec_fn=limit_address_space, timeout=60,
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == "" and result.stderr.startswith("error: generated literal slots p*m = ")
+    assert "Traceback" not in result.stderr
+    assert time.perf_counter() - start < 10
 
 
 class TestBacktrack:
@@ -446,6 +474,37 @@ def test_sweep_edge_rows_are_pinned(capsys, tmp_path, argv, kinds, digest, threa
     assert code == 0
     rows = out.read_text().splitlines()[2:]
     assert {row.split(",")[0] for row in rows} == kinds and "nan" in rows[-1]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of sweep CSVs for an unsorted and a repeated --n-list, recorded while the sweeps still keep
+# every row in memory: sample rows come out sorted by (n, sample) while the summaries keep the --n-list
+# order, and a repeated n writes each of its sample rows twice, then two summaries that each count both.
+SWEEP_N_LIST_DIGESTS = [
+    pytest.param(["sweep-kernel", "--n-list", "15,12", "--alpha", "1.0"], [("15", "3"), ("12", "3")],
+                 "a79ae5fe53fe68f3326bf1fec225047c0acc84b9dec2a8dccdcef7ae026e2902", id="kernel-unsorted"),
+    pytest.param(["sweep-kernel", "--n-list", "12,12", "--alpha", "1.0"], [("12", "6"), ("12", "6")],
+                 "88a8699d81deca6b04000e113232896be124172d3925943f043dbecd2c514815", id="kernel-repeated"),
+    pytest.param(["sweep-tree", "--n-list", "15,12", "--alpha", "0.8", "--perm-trials", "3"],
+                 [("15", "3"), ("12", "3")],
+                 "e9e09211307959b397c7231db1a610f9ca8c7dc3c11329a9f4a4931b81042404", id="tree-unsorted"),
+    pytest.param(["sweep-tree", "--n-list", "12,12", "--alpha", "0.8", "--perm-trials", "3"],
+                 [("12", "6"), ("12", "6")],
+                 "f2c061c29ba18c3462ff7b5b8736686b8e828f753715244d36c9dc7166c17536", id="tree-repeated"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(("argv", "summaries", "digest"), SWEEP_N_LIST_DIGESTS)
+def test_sweep_n_list_order_is_pinned(capsys, tmp_path, argv, summaries, digest, threads):
+    out = tmp_path / "sweep.csv"
+    code, _ = run(capsys, *argv, "--samples", "3", "--threads", threads, "--out", str(out))
+    assert code == 0
+    lines = out.read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    samples = [(int(r["n"]), int(r["sample"])) for r in rows if r["kind"] == "sample"]
+    assert samples == sorted(samples) and len(samples) == 6
+    assert [(r["n"], r["samples"]) for r in rows if r["kind"] == "summary"] == summaries
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -198,6 +198,14 @@ class TestGenerator:
         with pytest.raises(ValueError):
             gen_locked_random(5, 4, 3, 1, negation_prob=1.5, seed=0)
 
+    @pytest.mark.parametrize("p", [1, 3, 4])
+    def test_literal_slots_past_the_guard_are_refused(self, p):
+        m = instances.GENERATE_MAX_SLOTS // p
+        check_generator_parameters(m, m, p, 1, 0.5)
+        with pytest.raises(GuardExceeded) as err:
+            gen_locked_random(m, m + 1, p, 1, seed=0)
+        assert (err.value.value, err.value.limit) == (p * (m + 1), instances.GENERATE_MAX_SLOTS)
+
 
 def reference_gen_locked_random(n, m, p, q, negation_prob=0.5, seed=0):
     """The generator with its original repair, which rescans every degree (a numpy array)

@@ -24,7 +24,8 @@ from xorsat_reduce.reduction import (
 )
 from xorsat_reduce.solvers import (
     TreeStats,
-    _BacktrackRun,
+    _compiled_checks,
+    _walk,
     backtrack_count,
     backtrack_solve,
     count_enumerate,
@@ -229,8 +230,8 @@ class TestBacktrack:
         assert np.array_equal(r.standard.expand(v), expand_rows(r, v[None])[0])
 
         # Parity fixes every 1-in-2 clause once its pair is determined: no depth checks anything.
-        run = _BacktrackRun(inst, r, find_first=True)
-        assert run.cuts == run.checks == [[]] * (k + 1)
+        cuts, checks = _compiled_checks(inst, r.standard)
+        assert cuts == checks == [[]] * (k + 1)
         assert sys.getrecursionlimit() < k
         outcome, stats = backtrack_solve(inst, r)
         assert outcome.satisfiable
@@ -266,24 +267,24 @@ class TestCompiledChecks:
     def test_finished_clause_compiles_to_cuts_or_bounds(self, literals, q, cuts, check):
         inst = Instance(len(literals), (clause(literals, q),))
         r = reduce_instance(inst)
-        run = _BacktrackRun(inst, r, find_first=False)
+        compiled_cuts, checks = _compiled_checks(inst, r.standard)
         last = finish_depth(r, inst.variable_masks[0])
-        assert run.cuts == [cuts if d == last else [] for d in range(run.k + 1)]
+        assert compiled_cuts == [cuts if d == last else [] for d in range(r.standard.free_count + 1)]
         if check is None:
-            assert not any(run.checks)
+            assert not any(checks)
         else:
-            assert run.checks[last] == [check]
+            assert checks[last] == [check]
 
     def test_hc_degree_three_clauses_are_all_false_cuts(self):
         inst = hc_to_occupation(random_regular_graph(16, 3, seed=16))
         r = reduce_instance(inst)
-        run = _BacktrackRun(inst, r, find_first=False)
-        expected = [[] for _ in range(run.k + 1)]
+        cuts, checks = _compiled_checks(inst, r.standard)
+        expected = [[] for _ in range(r.standard.free_count + 1)]
         for mask, q in zip(inst.variable_masks, inst.occupations):
             assert (mask.bit_count(), q) == (3, 2)
             expected[finish_depth(r, mask)].append((mask, 0))
-        assert run.cuts == expected
-        assert not any(run.checks)
+        assert cuts == expected
+        assert not any(checks)
 
 
 def popcount_walk(instance, reduction, find_first: bool):
@@ -415,6 +416,34 @@ def tree_digest(corpus) -> str:
 def test_backtrack_trees_are_pinned():
     # Recorded with the earlier slack-counter walk: the packed walk builds the same trees.
     assert tree_digest(tree_corpus()) == "e55794885a12805699d30abbc7aa1193c44a2a5d3cee4dc311094322e09a6bfa"
+
+
+def scan_order_corpus() -> list[tuple[Instance, Reduction]]:
+    """(instance, reduction) pairs: locked 1in3, 2in4, 1in4, 2in5 and 1in5 instances (n 16, 20, 24,
+    eight seeds each, at densities that give both SAT and UNSAT cases) and 3-regular HC instances
+    with V 12..18, less the XOR-infeasible ones."""
+    corpus = [gen_locked_random(n, -(-2 * n // p) + extra, p, q, seed=s)
+              for p, q, extra in ((3, 1, 0), (4, 2, 2), (4, 1, 0), (5, 2, 2), (5, 1, 0))
+              for n in (16, 20, 24) for s in range(8)]
+    corpus += [hc_to_occupation(random_regular_graph(v, 3, seed=s)) for v in (12, 14, 16, 18) for s in range(4)]
+    return [(inst, r) for inst in corpus if isinstance(r := reduce_instance(inst), Reduction)]
+
+
+def test_basis_form_walk_visits_leaves_in_scan_order():
+    """Walked on the RREF basis form, the tree meets its leaves in the scan's candidate order: its
+    first solution is solve_enumerate's, at the index its free bits spell with v_0 most significant
+    (the basis point is 0 on every free coordinate), and it counts count_enumerate's solutions."""
+    satisfiable = []
+    for inst, r in scan_order_corpus():
+        _, first, _ = _walk(inst, r.basis, True)
+        outcome = solve_enumerate(inst, r)
+        assert outcome.satisfiable == (first is not None)
+        if first is not None:
+            assert np.array_equal(first, outcome.assignment)
+            assert int("0" + "".join(str(first[c]) for c in r.basis.free), 2) + 1 == outcome.queries
+        assert _walk(inst, r.basis, False)[0] == count_enumerate(inst, r)
+        satisfiable.append(outcome.satisfiable)
+    assert len(satisfiable) > 100 and 0 < sum(satisfiable) < len(satisfiable)
 
 
 class TestOptimizePermutation:
