@@ -2,9 +2,10 @@
 
 Each edge becomes a boolean variable and each node a clause requiring
 exactly two of its incident edges to be selected. Solutions of that
-instance are disjoint unions of cycles covering every node; an extra
-connectivity filter keeps only single cycles. For a connected graph the
-parity system has rank n_nodes - 1, which pins the reduced-space size.
+instance are disjoint unions of cycles covering every node; a walk
+along each candidate's packed edge set keeps only single cycles. For a
+connected graph the parity system has rank n_nodes - 1, which pins the
+reduced-space size.
 The tests check that rank, the cost exponent n/4 + 1/2 it gives on
 3-regular graphs, and every solver's answer against a count by path
 enumeration; those references and the named graphs they run on live
@@ -127,23 +128,75 @@ def is_hamiltonian_cycle(graph: Graph, edge_values) -> bool:
     return _component_count(graph.n_nodes, selected) == 1
 
 
-def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
-    """One Hamiltonian cycle as an edge assignment, or None (certified).
+def _packed_cycle_check(graph: Graph):
+    """`is_hamiltonian_cycle` for edge sets packed as ints (bit e for edge e).
 
-    Enumerates the reduced space of the 2-in-degree instance and filters
-    with the connectivity check; guarded to k <= 30 free dimensions.
-    `reduction` is that instance's reduce_instance outcome, computed
-    here when not given.
+    The check accepts a set of n_nodes edges when the walk from node 0
+    along them, never along an edge it has used, visits every node once
+    and closes at node 0. It ends on any edge set: at the first node it
+    reaches twice, at a node with no unused selected edge, or after
+    n_nodes steps.
+    """
+    n_nodes = graph.n_nodes
+    every_node = (1 << n_nodes) - 1
+    incident = [0] * n_nodes  # bit e of incident[u] is set iff edge e meets node u
+    ends = []  # node ^ ends[e] is the other end of edge e
+    bit = 1
+    for u, v in graph.edges:
+        incident[u] |= bit
+        incident[v] |= bit
+        ends.append(u ^ v)
+        bit <<= 1
+
+    def is_cycle(selected: int) -> bool:
+        if selected.bit_count() != n_nodes:
+            return False
+        node, seen = 0, 1
+        for _ in range(n_nodes):
+            out = incident[node] & selected
+            if not out:
+                return False
+            edge = out & -out
+            selected ^= edge  # used: the walk never goes back along it
+            node ^= ends[edge.bit_length() - 1]
+            if seen >> node & 1:
+                return node == 0 and seen == every_node
+            seen |= 1 << node
+        return False
+
+    return is_cycle
+
+
+def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
+    """The first Hamiltonian cycle in scan order as an edge assignment, or None (certified).
+
+    Scans the reduced space of the 2-in-degree instance and checks each
+    candidate that passes the scan's degree test, in index order, as a
+    packed edge set: the basis point XOR the rows of its set parameters,
+    read most significant first as `expand_index` reads them. Only the
+    accepted index is expanded. A `reduction` of another instance with
+    as many variables gives candidates that need not be 2-factors; the
+    packed walk ends on those too. Guarded to k <= 30 free dimensions.
+    `reduction` is that instance's reduce_instance outcome, computed here
+    when not given.
     """
     instance = hc_to_occupation(graph)
     outcome = reduce_instance(instance) if reduction is None else reduction
     if isinstance(outcome, XorInfeasible):
         return None
+    point, rows = outcome.basis.point, outcome.basis.rows
+    k = len(rows)
+    is_cycle = _packed_cycle_check(graph)
     for start, degree_ok in scan(instance, outcome):
         for i in np.flatnonzero(degree_ok):
-            candidate = expand_index(outcome, start + int(i))
-            if is_hamiltonian_cycle(graph, candidate):
-                return candidate
+            index = start + int(i)
+            selected, rest = point, index
+            while rest:  # bit b of the index is parameter k - 1 - b
+                low = rest & -rest
+                selected ^= rows[k - low.bit_length()]
+                rest ^= low
+            if is_cycle(selected):
+                return expand_index(outcome, index)
     return None
 
 

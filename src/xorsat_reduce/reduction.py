@@ -148,10 +148,14 @@ def scan(instance: Instance, reduction: Reduction):
     Inside a block of 2^w candidates only the last w parameters vary, so
     each variable is one packed bit plane over the block: the fixed part
     of the block's expansion XOR the planes of the varying parameters
-    whose basis rows contain it. Every candidate solves the parity
-    system, so each clause's true-literal count already has q's parity,
-    and it equals q unless it reaches q + 2 or misses q - 1. A clause
-    with q > p is never met. Guarded to k <= 30.
+    whose basis rows contain it. The planes are built once per call by
+    doubling, one varying parameter at a time, in a word-major array whose
+    steps each write one contiguous block; it is transposed once into the
+    variable-major planes and dropped before the first block is yielded.
+    Every candidate solves the parity system, so each clause's
+    true-literal count already has q's parity, and it equals q unless it
+    reaches q + 2 or misses q - 1. A clause with q > p is never met.
+    Guarded to k <= 30.
     """
     k = reduction.free_count
     if k > SCAN_MAX_FREE:
@@ -161,10 +165,17 @@ def scan(instance: Instance, reduction: Reduction):
     flips = gf2._unpack(reduction.basis.rows[::-1][:width], reduction.n).astype(np.uint64) * _ONES
     # Parameters b < 6 are bits of the position inside a word, b >= 6 bits of the word index.
     words = 1 << max(width - 6, 0)
+    # The planes come first, so the word-major copy is the newest block and freeing it leaves room
+    # the gather reuses. Allocated the other way round, glibc 2.36 handed both blocks back to the
+    # system after each scan and the next scan page-faulted them in again (about 45 faults and
+    # 50 us per hc scan at k 13-15, numpy 2.4 on a 2-core Xeon).
     planes = np.empty((reduction.n, words), dtype=np.uint64)
-    planes[:, 0] = np.bitwise_xor.reduce(flips[:6] & _WORD_PATTERNS[:width, None], axis=0)
+    built = np.empty((words, reduction.n), dtype=np.uint64)
+    built[0] = np.bitwise_xor.reduce(flips[:6] & _WORD_PATTERNS[:width, None], axis=0)
     for b, flip in enumerate(flips[6:]):
-        np.bitwise_xor(planes[:, : 1 << b], flip[:, None], out=planes[:, 1 << b : 2 << b])
+        np.bitwise_xor(built[: 1 << b], flip, out=built[1 << b : 2 << b])
+    planes[...] = built.T
+    del built  # the generator's frame would keep a second copy of the planes alive
 
     by_occupation = defaultdict(list)
     for clause_vars, negated, q in zip(instance.variables, instance.negations, instance.occupations):

@@ -15,12 +15,15 @@ from functools import partial
 import numpy as np
 
 from . import gf2
-from .errors import GenerationError
+from .errors import GenerationError, GuardExceeded
 from .instances import check_generator_parameters, clause_count, gen_locked_random
 from .reduction import XorInfeasible, build_linear_system, reduce_instance
 from .solvers import backtrack_count, gamma_estimate, optimize_permutation
 
 SWEEP_MAX_FREE = 26
+# Largest n * M the kernel sweep ranks. One sample's gf2.rank grows about as (n * M)^1.5: on
+# occ1in3 with M = n it took 0.4 s at n = 2^14 (the bound), 2.3 s at 32,000 and 8.1 s at 50,000.
+KERNEL_MAX_CELLS = 1 << 28
 
 PROBLEM_ARITIES = {"occ1in3": (3, 1), "occ2in4": (4, 2)}
 
@@ -173,7 +176,14 @@ def _tree_statistics(n, good, rows) -> dict:
 
 
 def kernel_sweep(config: SweepConfig) -> tuple[list[dict], list[dict]]:
-    """Per-sample kernel-excess records plus per-n summaries of delta_k / n."""
+    """Per-sample kernel-excess records plus per-n summaries of delta_k / n.
+
+    Raises GuardExceeded, before any sample, when some n has n * M above KERNEL_MAX_CELLS.
+    """
+    for n in config.n_list:
+        cells = n * config.clause_count(n)
+        if cells > KERNEL_MAX_CELLS:
+            raise GuardExceeded("kernel-sweep parity matrix size n*M", cells, KERNEL_MAX_CELLS)
     return _sweep(config, _kernel_measure, _kernel_statistics)
 
 

@@ -14,8 +14,9 @@ import pytest
 
 from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
-from xorsat_reduce.hamcycle import Graph, _connected_simple_graph, is_connected
+from xorsat_reduce.hamcycle import Graph, _connected_simple_graph, hc_to_occupation, is_connected, is_hamiltonian_cycle
 from xorsat_reduce.instances import Clause, Instance, Literal
+from xorsat_reduce.reduction import expand_index
 
 BRUTE_FORCE_MAX_VARS = 24
 BRUTE_FORCE_MAX_NODES = 12
@@ -303,6 +304,22 @@ def petersen_graph() -> Graph:
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return Graph(10, tuple(outer + spokes + inner))
+
+
+def prism_graph() -> Graph:
+    """Two triangles joined by a perfect matching: cubic, with Hamiltonian cycles."""
+    return Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)))
+
+
+def first_cycle_index(graph: Graph, reduction) -> int | None:
+    """Smallest index whose candidate satisfies the graph's 2-in-degree instance and is a
+    Hamiltonian cycle, by expanding every index in turn; None when there is none."""
+    instance = hc_to_occupation(graph)
+    for index in range(1 << reduction.free_count):
+        candidate = expand_index(reduction, index)
+        if reference_satisfies(instance, candidate) and is_hamiltonian_cycle(graph, candidate):
+            return index
+    return None
 
 
 def random_bipartite_regular_graph(half: int, degree: int = 3, seed: int | np.random.Generator = 0) -> Graph:

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -15,8 +16,9 @@ import pytest
 
 from xorsat_reduce import cli
 from xorsat_reduce.cli import build_parser, main
+from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.hamcycle import emit_graph
-from xorsat_reduce.instances import parse_instance
+from xorsat_reduce.instances import check_generator_parameters, clause_count, parse_instance
 
 from conftest import limit_address_space, petersen_graph
 
@@ -245,6 +247,38 @@ def test_oversized_generation_exits_3_under_a_memory_limit(argv):
     assert result.stdout == "" and result.stderr.startswith("error: generated literal slots p*m = ")
     assert "Traceback" not in result.stderr
     assert time.perf_counter() - start < 10
+
+
+def test_kernel_sweep_past_its_matrix_guard_exits_3_within_a_second():
+    """n = M = 50,000 passes the generator guard, but one rank of it takes seconds: the kernel
+    sweep refuses n*M above KERNEL_MAX_CELLS before its first sample.
+
+    The child runs limited to 2 GiB of address space; the second is its own CPU time, which the
+    machine's other load does not stretch.
+    """
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run(
+        [sys.executable, "-m", "xorsat_reduce.cli", "sweep-kernel", "--n-list", "50000", "--alpha", "1",
+         "--samples", "1"],
+        capture_output=True, text=True, preexec_fn=limit_address_space, timeout=10,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr == "error: kernel-sweep parity matrix size n*M = 2500000000 exceeds guard 268435456\n"
+    assert (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime) < 1
+
+
+def test_guard_message_abbreviates_a_value_past_20_digits(capsys):
+    """p*m = floor(3 * 1e300) has 301 digits: the message shows two, the exception keeps them all."""
+    assert main(["gen", "--n", "3", "--p", "1", "--q", "1", "--alpha", "1e300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generated literal slots p*m = 3.0e+300 exceeds guard 1048576\n"
+    with pytest.raises(GuardExceeded) as raised:
+        check_generator_parameters(3, clause_count(3, 1e300), 1, 1, 0.5)
+    assert raised.value.value == clause_count(3, 1e300) and len(str(raised.value.value)) == 301
+    assert str(GuardExceeded("v", 10**20 - 1, 7)) == "v = 99999999999999999999 exceeds guard 7"
+    assert str(GuardExceeded("v", 10**20, 7)) == "v = 1.0e+20 exceeds guard 7"
 
 
 class TestBacktrack:

@@ -16,13 +16,13 @@ at n up to 70, where the packed assignment and clause masks pass 64 bits.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xorsat_reduce.grover import OracleSpec
-from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, solve_hc
+from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, random_regular_graph, solve_hc
 from xorsat_reduce.instances import Clause, Instance, Literal
-from xorsat_reduce.reduction import XorInfeasible, reduce_instance
+from xorsat_reduce.reduction import XorInfeasible, expand_index, reduce_instance
 from xorsat_reduce.solvers import (
     TreeStats,
     backtrack_count,
@@ -33,11 +33,16 @@ from xorsat_reduce.solvers import (
 )
 
 from conftest import (
+    BRUTE_FORCE_MAX_NODES,
     bit_block,
+    brute_force_hc,
     brute_force_solutions,
     dense_standard,
     expand_rows,
+    first_cycle_index,
     partial_violated,
+    petersen_graph,
+    prism_graph,
     reference_satisfies,
 )
 
@@ -112,15 +117,31 @@ def small_graphs(draw) -> Graph:
     return Graph(nodes, tuple(draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True))))
 
 
-@settings(max_examples=60, **SETTINGS)
-@given(small_graphs())
+def cubic_graphs():
+    return st.builds(random_regular_graph, st.sampled_from([8, 10, 12, 14, 16]), st.just(3), st.integers(0, 1 << 16))
+
+
+@settings(max_examples=80, **SETTINGS)
+@given(st.one_of(small_graphs(), cubic_graphs()))
+@example(prism_graph())
+@example(petersen_graph())
 def test_solve_hc_agrees_with_brute_force(graph):
-    cycles = [x for x in brute_force_solutions(hc_to_occupation(graph))
-              if is_hamiltonian_cycle(graph, x)]
-    found = solve_hc(graph)
-    assert (found is not None) == bool(cycles)
-    if found is not None:
-        assert is_hamiltonian_cycle(graph, found)
+    """solve_hc returns the first candidate in index order that is a Hamiltonian cycle, or None;
+    whether there is one agrees with brute force over the instance (up to 14 edges) and with the
+    path count (up to 12 nodes)."""
+    reduction = reduce_instance(hc_to_occupation(graph))
+    found = solve_hc(graph, reduction)
+    first = None if isinstance(reduction, XorInfeasible) else first_cycle_index(graph, reduction)
+    if first is None:
+        assert found is None
+    else:
+        assert np.array_equal(found, expand_index(reduction, first))
+    if graph.n_edges <= 14:
+        cycles = [x for x in brute_force_solutions(hc_to_occupation(graph))
+                  if is_hamiltonian_cycle(graph, x)]
+        assert (found is not None) == bool(cycles)
+    if graph.n_nodes <= BRUTE_FORCE_MAX_NODES:
+        assert (found is not None) == (brute_force_hc(graph) > 0)
 
 
 @st.composite

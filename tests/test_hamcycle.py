@@ -21,16 +21,18 @@ from xorsat_reduce.hamcycle import (
     solve_hc,
 )
 from xorsat_reduce import hamcycle
-from xorsat_reduce.reduction import XorInfeasible, build_linear_system, reduce_instance
+from xorsat_reduce.reduction import XorInfeasible, build_linear_system, expand_index, reduce_instance
 
 from conftest import (
     brute_force_hc,
     brute_force_solutions,
     complete_graph,
     cycle_graph,
+    first_cycle_index,
     hc_cost_exponent,
     hc_rank_check,
     petersen_graph,
+    prism_graph,
     random_bipartite_regular_graph,
 )
 
@@ -141,6 +143,56 @@ class TestIsHamiltonianCycle:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             is_hamiltonian_cycle(cycle_graph(4), [1, 1])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+class TestPackedCycleCheck:
+    @pytest.mark.parametrize("graph", [
+        cycle_graph(3), complete_graph(4), prism_graph(), two_triangles(), petersen_graph(),
+        path_graph(2), path_graph(5), cycle_graph(7),
+    ], ids=["triangle", "K4", "prism", "two-triangles", "petersen", "path2", "path5", "C7"])
+    def test_equals_is_hamiltonian_cycle_on_every_edge_subset(self, graph):
+        """Most subsets give some node a degree other than 2: the walk ends there and answers False."""
+        is_cycle = hamcycle._packed_cycle_check(graph)
+        accepted = 0
+        for selected in range(1 << graph.n_edges):
+            values = [selected >> e & 1 for e in range(graph.n_edges)]
+            want = is_hamiltonian_cycle(graph, values)
+            assert is_cycle(selected) == want, (graph, values)
+            accepted += want
+        assert accepted == (brute_force_hc(graph) if graph.n_nodes >= 3 else 0)
+
+    @pytest.mark.parametrize(("graph", "other"), [
+        (complete_graph(4), two_triangles()),
+        (two_triangles(), complete_graph(4)),
+        (prism_graph(), random_bipartite_regular_graph(3, seed=0)),
+        (random_bipartite_regular_graph(3, seed=0), prism_graph()),
+        (petersen_graph(), random_regular_graph(10, 3, seed=3)),
+        (random_regular_graph(10, 3, seed=3), petersen_graph()),
+        (cycle_graph(6), two_triangles()),
+        (two_triangles(), cycle_graph(6)),
+        (cycle_graph(6), path_graph(7)),
+    ], ids=["K4|two-triangles", "two-triangles|K4", "prism|K33", "K33|prism",
+            "petersen|cubic10", "cubic10|petersen", "C6|two-triangles", "two-triangles|C6", "C6|path7"])
+    def test_reduction_of_another_graph_returns_the_first_cycle(self, graph, other):
+        """Candidates of another instance need not be 2-factors; the answer is still the first
+        index whose candidate is a Hamiltonian cycle of `graph`, or None."""
+        assert graph.n_edges == other.n_edges
+        reduction = reduce_instance(hc_to_occupation(other))
+        found = solve_hc(graph, reduction)
+        first = first_cycle_index(graph, reduction)
+        if first is None:
+            assert found is None
+        else:
+            assert np.array_equal(found, expand_index(reduction, first))
+
+    def test_reduction_of_another_graph_can_hold_a_cycle(self):
+        """Two triangles' space holds the all-ones edge set, which is C6's one cycle."""
+        found = solve_hc(cycle_graph(6), reduce_instance(hc_to_occupation(two_triangles())))
+        assert found is not None and np.all(found == 1)
 
 
 class TestSolveHc:
