@@ -176,7 +176,8 @@ def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
     read most significant first as `expand_index` reads them. Only the
     accepted index is expanded. A `reduction` of another instance with
     as many variables gives candidates that need not be 2-factors; the
-    packed walk ends on those too. Guarded to k <= 30 free dimensions.
+    packed walk ends on those too, and one with another number of
+    variables raises ValueError. Guarded to k <= 30 free dimensions.
     `reduction` is that instance's reduce_instance outcome, computed here
     when not given.
     """

@@ -155,8 +155,11 @@ def scan(instance: Instance, reduction: Reduction):
     Every candidate solves the parity system, so each clause's
     true-literal count already has q's parity, and it equals q unless it
     reaches q + 2 or misses q - 1. A clause with q > p is never met.
-    Guarded to k <= 30.
+    Guarded to k <= 30; a reduction over another number of variables
+    raises ValueError.
     """
+    if reduction.n != instance.n:
+        raise ValueError(f"the reduction has {reduction.n} variables and the instance {instance.n}")
     k = reduction.free_count
     if k > SCAN_MAX_FREE:
         raise GuardExceeded("reduced-space dimension k", k, SCAN_MAX_FREE)

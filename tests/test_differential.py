@@ -16,14 +16,16 @@ at n up to 70, where the packed assignment and clause masks pass 64 bits.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xorsat_reduce.grover import OracleSpec
 from xorsat_reduce.hamcycle import Graph, hc_to_occupation, is_hamiltonian_cycle, random_regular_graph, solve_hc
 from xorsat_reduce.instances import Clause, Instance, Literal
-from xorsat_reduce.reduction import XorInfeasible, expand_index, reduce_instance
+from xorsat_reduce.reduction import Reduction, XorInfeasible, expand_index, reduce_instance
 from xorsat_reduce.solvers import (
+    _WALK_BATCH,
     TreeStats,
     backtrack_count,
     backtrack_solve,
@@ -234,23 +236,30 @@ def reference_tree(inst, reduction, find_first: bool):
     return len(found), tuple(nodes), found[0] if found else None
 
 
+def assert_walks_match_the_reference(inst, r) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both walks of `r`'s standard form against the reference; returns the nodes per depth
+    of the whole tree and of the find-first walk."""
+    count, tree, _ = reference_tree(inst, r, find_first=False)
+    assert backtrack_count(inst, r) == (count, TreeStats(sum(tree), tree))
+
+    _, nodes, first = reference_tree(inst, r, find_first=True)
+    outcome, stats = backtrack_solve(inst, r)
+    assert stats == TreeStats(sum(nodes), nodes)
+    assert outcome.queries == nodes[-1]
+    assert outcome.satisfiable == (first is not None)
+    if first is not None:
+        assert outcome.assignment.dtype == np.uint8
+        assert np.array_equal(outcome.assignment, first)
+    return tree, nodes
+
+
 def assert_trees_match_the_reference(inst):
     reduction = reduce_instance(inst)
     if isinstance(reduction, XorInfeasible):
         assert backtrack_count(inst, reduction) == (0, TreeStats(0, ()))
         return
     for r in (reduction, optimize_permutation(inst, reduction, trials=3)):
-        count, nodes, _ = reference_tree(inst, r, find_first=False)
-        assert backtrack_count(inst, r) == (count, TreeStats(sum(nodes), nodes))
-
-        _, nodes, first = reference_tree(inst, r, find_first=True)
-        outcome, stats = backtrack_solve(inst, r)
-        assert stats == TreeStats(sum(nodes), nodes)
-        assert outcome.queries == nodes[-1]
-        assert outcome.satisfiable == (first is not None)
-        if first is not None:
-            assert outcome.assignment.dtype == np.uint8
-            assert np.array_equal(outcome.assignment, first)
+        assert_walks_match_the_reference(inst, r)
 
 
 @settings(max_examples=150, **SETTINGS)
@@ -293,3 +302,50 @@ def test_backtrack_trees_match_the_recursive_reference_beyond_64_variables(inst)
     reduction = reduce_instance(inst)
     assert isinstance(reduction, XorInfeasible) or reduction.free_count <= 12
     assert_trees_match_the_reference(inst)
+
+
+def wide_tree_instance(seed: int, pad: int) -> Instance:
+    """Two to four clauses of arity 3..6 over 13..15 variables, q from a planted assignment.
+
+    So few clauses cut few nodes: k is 11..13 and the deep levels hold
+    hundreds to thousands of nodes. `pad` more variables, each pinned by a
+    1-in-1 clause, leave the tree as it is and widen every packed node.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(13, 16))
+    planted = rng.integers(0, 2, n)
+    clauses = []
+    for _ in range(int(rng.integers(2, 5))):
+        p = int(rng.integers(3, 7))
+        variables, negated = rng.choice(n, p, replace=False), rng.integers(0, 2, p)
+        lits = tuple(Literal(int(v), bool(s)) for v, s in zip(variables, negated))
+        q = sum(int(planted[lit.var]) ^ lit.negated for lit in lits)
+        if q == 0:
+            lits, q = (Literal(lits[0].var, not lits[0].negated), *lits[1:]), 1
+        clauses.append(Clause(lits, q))
+    clauses += [Clause((Literal(v, False),), 1) for v in range(n, n + pad)]
+    return Instance(n + pad, tuple(clauses))
+
+
+@pytest.mark.parametrize("pad", [0, 1000])
+def test_wide_trees_match_the_recursive_reference(pad):
+    """Trees with a depth wider than 2 x _WALK_BATCH, walked in several batches per depth.
+
+    Raw, optimized and RREF basis forms, in both walks. In seed 86's raw
+    form and seed 287's basis form the first solution's ancestor lies past
+    the first batch of its depth, so the find-first counts are corrected
+    for nodes of a batch a walk of single nodes would not visit. Padded to
+    over 1000 variables, a node no longer fits in 64 bits and the batches
+    are shorter.
+    """
+    late = []
+    for seed in (0, 2, 20, 86, 287):
+        inst = wide_tree_instance(seed, pad)
+        r = reduce_instance(inst)
+        widths = []
+        for form in (r, optimize_permutation(inst, r, trials=3), Reduction(r.basis, r.basis)):
+            tree, nodes = assert_walks_match_the_reference(inst, form)
+            widths.append(max(tree))
+            late.append(max(nodes) > _WALK_BATCH)
+        assert max(widths) > 2 * _WALK_BATCH
+    assert any(late)

@@ -194,6 +194,13 @@ class TestPackedCycleCheck:
         found = solve_hc(cycle_graph(6), reduce_instance(hc_to_occupation(two_triangles())))
         assert found is not None and np.all(found == 1)
 
+    @pytest.mark.parametrize("graph, other", [(complete_graph(4), cycle_graph(5)),
+                                              (cycle_graph(5), complete_graph(4))], ids=["K4|C5", "C5|K4"])
+    def test_reduction_over_another_number_of_edges_is_refused(self, graph, other):
+        with pytest.raises(ValueError, match=f"the reduction has {other.n_edges} variables "
+                                             f"and the instance {graph.n_edges}$"):
+            solve_hc(graph, reduce_instance(hc_to_occupation(other)))
+
 
 class TestSolveHc:
     def test_k4_finds_cycle(self):

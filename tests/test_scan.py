@@ -92,6 +92,19 @@ def test_first_hit_in_second_block():
     assert count_enumerate(inst, r) == BLOCK
 
 
+@pytest.mark.parametrize("n, other", [(13, 16), (16, 13)])
+def test_a_reduction_over_another_number_of_variables_is_refused(n, other):
+    """Every scan consumer raises one ValueError naming both sizes: no count, no IndexError."""
+    inst = Instance(n, (clause([(0, F), (1, T), (5, F)], 1), clause([(2, F), (3, F), (4, F)], 1)))
+    reduction = reduce_instance(Instance(other, inst.clauses))
+    consumers = (lambda: next(scan(inst, reduction)), lambda: count_enumerate(inst, reduction),
+                 lambda: solve_enumerate(inst, reduction),
+                 lambda: OracleSpec(reduction=reduction, instance=inst).solution_mask)
+    for consume in consumers:
+        with pytest.raises(ValueError, match=f"the reduction has {other} variables and the instance {n}$"):
+            consume()
+
+
 def test_occupation_beyond_int64_is_never_met():
     # q > p can never be met; a q too large for int64 must not overflow.
     inst = Instance(4, (clause([(0, F), (1, F)], 1 << 70), clause([(1, F), (2, F), (3, F)], 1)))

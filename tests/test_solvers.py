@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ class TestBacktrack:
         assert outcome.queries == stats.nodes_per_depth[r.free_count]
 
     def test_deep_chain_needs_no_recursion(self):
-        """k = 1500 disjoint 1-in-2 clauses: one node per depth, under the default recursion limit.
+        """k = 1500 disjoint 1-in-2 clauses: one node per depth, under the default recursion limit,
+        and a few MB of pending batches.
 
         The reduction is built by hand (kernel rows e_2i + e_2i+1, free block
         the even coordinates, offset and point the odd ones) and serves as
@@ -233,13 +235,44 @@ class TestBacktrack:
         cuts, checks = _compiled_checks(inst, r.standard)
         assert cuts == checks == [[]] * (k + 1)
         assert sys.getrecursionlimit() < k
-        outcome, stats = backtrack_solve(inst, r)
+        tracemalloc.start()
+        try:
+            outcome, stats = backtrack_solve(inst, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Batches hold at most 256 64-bit words: 256 nodes of 3000 bits a batch would peak near 170 MB.
+        assert peak < 16 << 20
         assert outcome.satisfiable
         assert outcome.queries == 1
         assert stats.nodes_per_depth == (1,) * (k + 1)
         assert stats.total_nodes == k + 1
         assert eval_instance(inst, outcome.assignment)
         assert np.array_equal(outcome.assignment, offset)
+
+    @pytest.mark.parametrize("n, other", [(13, 16), (16, 13)])
+    def test_a_reduction_over_another_number_of_variables_is_refused(self, n, other):
+        inst = Instance(n, (clause([(0, False), (1, True), (5, False)], 1),
+                            clause([(2, False), (3, False), (4, False)], 1)))
+        reduction = reduce_instance(Instance(other, inst.clauses))
+        for walk in (backtrack_count, backtrack_solve):
+            with pytest.raises(ValueError, match=f"the form has {other} variables and the instance {n}$"):
+                walk(inst, reduction)
+
+    def test_count_walk_holds_about_one_batch_per_depth(self):
+        """2^17 leaves, none cut: the walk's peak stays far below one tree level of packed nodes
+        (a level of 2^17 ints and its list take about 5 MB under tracemalloc)."""
+        inst = Instance(18, (clause([(0, False), (1, False)], 1),))
+        r = reduce_instance(inst)
+        assert r.free_count == 17
+        tracemalloc.start()
+        try:
+            count, stats = backtrack_count(inst, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, stats.total_nodes) == (1 << 17, (1 << 18) - 1)
+        assert peak < 2 << 20
 
 
 def finish_depth(reduction, mask: int) -> int:

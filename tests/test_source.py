@@ -82,6 +82,23 @@ def test_only_the_degree_repair_rewinds_a_generator():
     assert found == {"instances.py _repair_degrees"}
 
 
+def test_only_the_walk_compiles_checks():
+    """`_walk` is the one reader of `_compiled_checks`, so the backtracking tree has one walk loop.
+
+    Counting cuts per clause, a node budget and a leaf predicate then each
+    go into that loop, not into a second walk.
+    """
+    found = {
+        f"{path.name} {getattr(statement, 'name', '<module>')}"
+        for path in package_sources()
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name) and node.id == "_compiled_checks" and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "_compiled_checks"
+    }
+    assert found == {"solvers.py _walk"}
+
+
 def test_no_blas_backed_numpy_calls():
     """No call wakes OpenBLAS's thread pool, whose workers spin on another core after the call returns.
 
