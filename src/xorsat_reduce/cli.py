@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including certified UNSAT), 2 usage error (an
 invalid argument), parse error, unreadable input file or unwritable
---out file, 3 guard exceeded, 4 generation failure.
+--out file, 3 guard exceeded, 4 generation failure, 130 interrupted
+(SIGINT, reported in one line).
 """
 
 from __future__ import annotations
@@ -374,6 +375,9 @@ def main(argv=None) -> int:
     except GenerationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -7,10 +7,15 @@ certify that no solution exists. Both searches sample their measurement
 from the closed form: after r iterations from the uniform state every
 marked amplitude equals sin((2r+1) theta)/sqrt(V) and every unmarked one
 cos((2r+1) theta)/sqrt(N - V), with sin^2 theta = V/N (Boyer, Brassard,
-Hoyer & Tapp, "Tight bounds on quantum searching", 1998). The dense
-complex statevector they are checked against is the tests' reference,
-not the library's; the gate-level structure of the oracle is modeled
-separately by `oracle_resources`.
+Hoyer & Tapp, "Tight bounds on quantum searching", 1998), so a search
+needs only the marked indices and one uniform draw per measurement. The
+known-count search takes its index from the cumulative measurement
+probabilities with the steps `Generator.choice` runs after its argument
+checks. The oracle's marks, `OracleSpec.solution_mask`, are the scan's
+verdict words unpacked once into bools. The dense complex statevector
+the searches are checked against is the tests' reference, not the
+library's; the gate-level structure of the oracle is modeled separately
+by `oracle_resources`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import GuardExceeded
 from .instances import Instance
-from .reduction import Reduction, expand_index, scan
+from .reduction import Reduction, expand_index, scan, unpack_verdicts
 from .solvers import SolveOutcome
 
 SEARCH_MAX_FREE = 24
@@ -53,10 +58,10 @@ class OracleSpec:
         k = self.free_count
         if k > SEARCH_MAX_FREE:
             raise GuardExceeded("reduced-space dimension k", k, SEARCH_MAX_FREE)
-        mask = np.empty(1 << k, dtype=bool)
-        for start, satisfied in scan(self.instance, self.reduction):
-            mask[start : start + satisfied.size] = satisfied
-        return mask
+        words = np.empty(max(1, 1 << k >> 6), dtype=np.uint64)
+        for start, block in scan(self.instance, self.reduction):
+            words[start >> 6 : (start >> 6) + block.size] = block
+        return unpack_verdicts(words, 1 << k)
 
 
 def grover_search_known(
@@ -81,13 +86,35 @@ def grover_search_known(
     mask = spec.solution_mask  # the k guard, read before total / v_count can overflow a float
     rng = np.random.default_rng(rng)
     iterations = int(math.pi / 4 * math.sqrt(total / v_count))
+    measured = _draw(_measurement_probabilities(mask, iterations), rng)
+    return measured, bool(mask[measured]), iterations
+
+
+def _measurement_probabilities(mask: np.ndarray, iterations: int) -> np.ndarray:
+    """Each index's probability of being measured after `iterations` steps from uniform, summing to 1.
+
+    Every index gets its class's probability spread evenly over the
+    class, with the angle from the number of indices `mask` marks.
+    """
+    total = mask.size
     marked = int(np.count_nonzero(mask))
     p_marked, p_unmarked = _class_probabilities(math.asin(math.sqrt(marked / total)), iterations)
     per_marked = p_marked / marked if marked else 0.0
     per_unmarked = p_unmarked / (total - marked) if marked < total else 0.0
     probs = np.where(mask, per_marked, per_unmarked)
-    measured = int(rng.choice(total, p=probs / probs.sum()))
-    return measured, bool(mask[measured]), iterations
+    probs /= probs.sum()  # > 0: the two class probabilities sum to 1
+    return probs
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """`rng.choice(probs.size, p=probs)` without its argument checks; overwrites `probs`.
+
+    These are the steps `Generator.choice` runs once it has checked p,
+    so the index and the generator's state after the draw are the same.
+    """
+    cdf = np.cumsum(probs, out=probs)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _class_probabilities(theta: float, iterations: int) -> tuple[float, float]:
@@ -120,7 +147,9 @@ def grover_search_unknown(spec: OracleSpec, rng: int | np.random.Generator) -> S
     k = spec.free_count
     rng = np.random.default_rng(rng)
     solution_mask = spec.solution_mask
-    marked_indices = np.union1d(np.flatnonzero(solution_mask), [0])
+    marked_indices = np.flatnonzero(solution_mask)  # ascending
+    if not solution_mask[0]:
+        marked_indices = np.concatenate(([0], marked_indices))
     total = 1 << k
     theta = math.asin(math.sqrt(marked_indices.size / total))
 

@@ -189,15 +189,19 @@ def solve_hc(graph: Graph, reduction=None) -> np.ndarray | None:
     k = len(rows)
     is_cycle = _packed_cycle_check(graph)
     for start, degree_ok in scan(instance, outcome):
-        for i in np.flatnonzero(degree_ok):
-            index = start + int(i)
-            selected, rest = point, index
-            while rest:  # bit b of the index is parameter k - 1 - b
-                low = rest & -rest
-                selected ^= rows[k - low.bit_length()]
-                rest ^= low
-            if is_cycle(selected):
-                return expand_index(outcome, index)
+        for w in np.flatnonzero(degree_ok):
+            base, word = start + 64 * int(w), int(degree_ok[w])
+            while word:  # bit t of the word is candidate base + t
+                bit = word & -word
+                word ^= bit
+                index = base + bit.bit_length() - 1
+                selected, rest = point, index
+                while rest:  # bit b of the index is parameter k - 1 - b
+                    low = rest & -rest
+                    selected ^= rows[k - low.bit_length()]
+                    rest ^= low
+                if is_cycle(selected):
+                    return expand_index(outcome, index)
     return None
 
 

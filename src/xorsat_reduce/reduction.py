@@ -2,12 +2,14 @@
 
 Every exactly-q clause implies the parity constraint sum of its literal
 variables = (negations + q) mod 2, so all solutions of an instance live
-in the affine space of the resulting GF(2) system. A reduction holds two
-packed standard forms of it: the RREF basis, which orders the candidates
-of `expand_index`, `scan` and Grover, and the form backtracking walks; an
-inconsistent system yields a certified infeasibility witness instead.
-`scan` walks the reduced space for every classical consumer; its candidates
-all satisfy the parity system, so it checks each exactly-q clause only
+in the affine space of the resulting GF(2) system. A reduction holds it
+as packed standard forms: the RREF basis, which orders the candidates of
+`expand_index`, `scan` and Grover, and the form backtracking walks, which
+is built from the basis on first read, so the scan's consumers never pay
+for it; an inconsistent system yields a certified infeasibility witness
+instead. `scan` walks the reduced space for every classical consumer and
+yields packed verdict words, one bit per candidate; its candidates all
+satisfy the parity system, so it checks each exactly-q clause only
 against q + 2 and q - 1 true literals.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,10 +60,25 @@ class XorInfeasible:
     m_prime: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Reduction:
+    """The reduced space of a consistent parity system.
+
+    `standard`, the form backtracking walks, is the standard form of the
+    basis, built on first read; `Reduction(basis, standard)` gives it
+    instead, as `optimize_permutation` does.
+    """
+
     basis: StandardForm  # RREF kernel rows on the non-pivot columns, through the particular solution
-    standard: StandardForm  # the form backtracking walks
+
+    def __init__(self, basis: StandardForm, standard: StandardForm | None = None):
+        object.__setattr__(self, "basis", basis)
+        if standard is not None:
+            self.__dict__["standard"] = standard
+
+    @cached_property
+    def standard(self) -> StandardForm:
+        return gf2.standard_form(self.basis.rows, self.basis.point, self.basis.n)
 
     @property
     def n(self) -> int:
@@ -106,8 +124,7 @@ def reduce_instance(instance: Instance):
     size = (instance.n - system.rank) * instance.n
     if size > REDUCE_MAX_BITS:
         raise GuardExceeded("reduced-space basis size k*n", size, REDUCE_MAX_BITS)
-    basis = system.basis()
-    return Reduction(basis=basis, standard=gf2.standard_form(basis.rows, basis.point, basis.n))
+    return Reduction(system.basis())
 
 
 def expand_index(reduction: Reduction, index: int) -> np.ndarray:
@@ -143,8 +160,11 @@ def _at_least(literals: np.ndarray, t: int) -> np.ndarray:
 def scan(instance: Instance, reduction: Reduction):
     """Walk the 2^k reduced-space candidates in blocks, in lexicographic parameter order.
 
-    Yields (start, satisfied) per block: satisfied[i] tells whether
-    expand_index(reduction, start + i) satisfies the instance.
+    Yields (start, words) per block of 2^w candidates, w = min(k, 16):
+    `words` holds max(1, 2^w / 64) uint64 verdict words, and bit t of
+    words[j] tells whether expand_index(reduction, start + 64 j + t)
+    satisfies the instance. The bits past 2^w, which exist only when
+    k < 6, are 0; `unpack_verdicts` turns words into bools.
     Inside a block of 2^w candidates only the last w parameters vary, so
     each variable is one packed bit plane over the block: the fixed part
     of the block's expansion XOR the planes of the varying parameters
@@ -190,7 +210,8 @@ def scan(instance: Instance, reduction: Reduction):
         variables = np.array(clause_vars, dtype=np.intp).T.ravel()
         negated = np.array([neg >> j & 1 for j in range(p) for neg in negations], dtype=np.uint8)
         groups.append((p, q, variables, negated))
-    initial = _ONES
+    # Every verdict starts true on the block's 2^width candidates and is only ever cleared.
+    initial = np.uint64((1 << (1 << width)) - 1) if width < 6 else _ONES
     if any(q > p for p, q in by_occupation):
         initial, groups = np.uint64(0), []
 
@@ -205,8 +226,12 @@ def scan(instance: Instance, reduction: Reduction):
                 satisfied &= ~np.bitwise_or.reduce(_at_least(literals, q + 2), axis=0)
             if q > 1:
                 satisfied &= np.bitwise_and.reduce(_at_least(literals, q - 1), axis=0)
-        bits = np.unpackbits(satisfied.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-        yield start, bits[: 1 << width].view(bool)
+        yield start, satisfied
+
+
+def unpack_verdicts(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` verdicts of `scan`'s words as a bool array: entry i is bit i % 64 of words[i // 64]."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=count, bitorder="little").view(bool)
 
 
 def kernel_excess(instance: Instance, reduction: Reduction) -> int:

@@ -53,10 +53,12 @@ def solve_enumerate(instance: Instance, reduction=None) -> SolveOutcome:
         reduction = reduce_instance(instance)
     if isinstance(reduction, XorInfeasible):
         return SolveOutcome(False, None, 0)
-    for start, satisfied in scan(instance, reduction):
-        hits = np.flatnonzero(satisfied)
-        if hits.size:
-            first = start + int(hits[0])
+    for start, words in scan(instance, reduction):
+        nonzero = np.flatnonzero(words)
+        if nonzero.size:
+            w = int(nonzero[0])
+            word = int(words[w])
+            first = start + 64 * w + (word & -word).bit_length() - 1  # the word's lowest set bit
             return SolveOutcome(True, expand_index(reduction, first), first + 1)
     return SolveOutcome(False, None, 1 << reduction.free_count)
 
@@ -67,7 +69,7 @@ def count_enumerate(instance: Instance, reduction=None) -> int:
         reduction = reduce_instance(instance)
     if isinstance(reduction, XorInfeasible):
         return 0
-    return sum(int(satisfied.sum()) for _, satisfied in scan(instance, reduction))
+    return sum(int(np.bitwise_count(words).sum()) for _, words in scan(instance, reduction))
 
 
 def _compiled_checks(instance: Instance, form: gf2.StandardForm) -> tuple[list[list], list[list]]:

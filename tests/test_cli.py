@@ -227,6 +227,20 @@ def test_unwritable_output_exits_2_with_reason(capsys, monkeypatch, tmp_path, ar
     assert captured.err == f"error: cannot write {path}: {reason}\n"
 
 
+def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch, tmp_path):
+    """A SIGINT during a command (KeyboardInterrupt in the solver) ends in one line on stderr."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "count_enumerate", interrupted)
+    path = tmp_path / "chain.occ"
+    path.write_text(CHAIN_TEXT)
+    code = main(["count", str(path)])
+    captured = capsys.readouterr()
+    assert code == 130 and captured.out == ""
+    assert captured.err == "error: interrupted\n" and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--n", "3", "--p", "1", "--q", "1", "--m", "100000000000"],
     ["gen", "--n", "3", "--p", "1", "--q", "1", "--alpha", "1e300"],

@@ -217,6 +217,7 @@ def test_at_most_one_standard_form_per_call(monkeypatch):
             continue
         reduction = reduce_instance(instance)
         if not isinstance(reduction, XorInfeasible) and 0 < reduction.free_count < n:
+            reduction.standard  # the climb's input form, built on first read
             cases.append((instance, reduction))
     monkeypatch.setattr(gf2, "standard_form", counted)
     changed = 0

@@ -10,6 +10,8 @@ import pytest
 from xorsat_reduce.errors import GuardExceeded
 from xorsat_reduce.grover import (
     OracleSpec,
+    _draw,
+    _measurement_probabilities,
     grover_search_known,
     grover_search_unknown,
     oracle_resources,
@@ -72,18 +74,6 @@ def dense_search_known(spec: OracleSpec, v_count: int, seed: int) -> tuple[tuple
     probs = np.abs(state) ** 2
     measured = int(np.random.default_rng(seed).choice(1 << k, p=probs / probs.sum()))
     return (measured, bool(spec.solution_mask[measured]), iterations), probs
-
-
-class RecordingGenerator(np.random.Generator):
-    """numpy's default generator for `seed`, keeping the `p` its last `choice` was given."""
-
-    def __init__(self, seed: int):
-        super().__init__(np.random.PCG64(seed))
-        self.p = None
-
-    def choice(self, a, *args, p=None, **kwargs):
-        self.p = p
-        return super().choice(a, *args, p=p, **kwargs)
 
 
 class TestOracle:
@@ -225,9 +215,9 @@ class TestSearchKnown:
             assert int(spec.solution_mask.sum()) == v_count
         for seed in range(6):
             expected, dense_probs = dense_search_known(spec, v_count, seed)
-            rng = RecordingGenerator(seed)
-            assert grover_search_known(spec, v_count, rng) == expected
-            assert np.max(np.abs(rng.p - dense_probs)) < 1e-12
+            assert grover_search_known(spec, v_count, np.random.default_rng(seed)) == expected
+        probs = _measurement_probabilities(spec.solution_mask, expected[2])
+        assert np.max(np.abs(probs - dense_probs)) < 1e-12
 
     @pytest.mark.parametrize("instance, v_count, marked_fraction", [
         (unsat_but_feasible_instance(), 1, 0.0),
@@ -241,12 +231,27 @@ class TestSearchKnown:
         spec = spec_for(instance)
         total = 1 << spec.free_count
         assert spec.solution_mask.mean() == marked_fraction
+        iterations = grover_search_known(spec, v_count, 0)[2]
+        probs = _measurement_probabilities(spec.solution_mask, iterations)
+        np.testing.assert_allclose(probs, np.full(total, 1 / total), rtol=1e-15, atol=0)
         for seed in range(4):
-            rng = RecordingGenerator(seed)
-            result = grover_search_known(spec, v_count, rng)
-            np.testing.assert_allclose(rng.p, np.full(total, 1 / total), rtol=1e-15, atol=0)
+            result = grover_search_known(spec, v_count, seed)
             assert result == dense_search_known(spec, v_count, seed)[0]
             assert result[1] == bool(marked_fraction)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_draw_is_generator_choice(self, k):
+        """The direct draw gives `Generator.choice`'s index and leaves the generator in the same state."""
+        total = 1 << k
+        for marked in sorted({0, 1, total // 100, 3 * total // 10, total}):
+            mask = np.zeros(total, dtype=bool)
+            mask[np.random.default_rng(k).choice(total, size=marked, replace=False)] = True
+            for seed, iterations in ((0, 0), (1, 1), (2, int(math.pi / 4 * math.sqrt(total / max(marked, 1))))):
+                probs = _measurement_probabilities(mask, iterations)
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = int(want_rng.choice(total, p=probs.copy()))
+                assert _draw(probs, got_rng) == want, (marked, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_single_target_k22(self):
         spec = spec_for(repeated_unique_instance(11))  # k = 22, V = 1
@@ -305,6 +310,9 @@ class TestSearchUnknown:
         (repeated_unique_instance(3), 0, (True, "100110011001", 11)),
         (Instance(6, unsat_but_feasible_instance().clauses), 7, (False, None, 114)),
         (Instance(10, repeated_unique_instance(2).clauses), 7, (True, "1001100100", 6)),
+        # Index 0 is a solution here, so the artificial mark adds no index.
+        (Instance(3, (clause([(0, False), (1, False), (2, True)], 1),)), 4, (True, "101", 2)),
+        (Instance(3, (clause([(0, False), (1, False), (2, True)], 1),)), 9, (True, "000", 6)),
     ])
     def test_pinned_outcomes(self, instance, seed, expected):
         # The marked indices fix every rng draw, so these outcomes pin them.

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorsat_reduce import gf2
 from xorsat_reduce.errors import GuardExceeded
-from xorsat_reduce.grover import OracleSpec, grover_search_known
+from xorsat_reduce.grover import OracleSpec, grover_search_known, grover_search_unknown
 from xorsat_reduce.hamcycle import hc_to_occupation, random_regular_graph, solve_hc
 from xorsat_reduce.instances import (
     Clause,
@@ -19,8 +20,8 @@ from xorsat_reduce.instances import (
     eval_instance,
     gen_locked_random,
 )
-from xorsat_reduce.reduction import expand_index, reduce_instance, scan
-from xorsat_reduce.solvers import count_enumerate, solve_enumerate
+from xorsat_reduce.reduction import Reduction, expand_index, reduce_instance, scan, unpack_verdicts
+from xorsat_reduce.solvers import backtrack_count, backtrack_solve, count_enumerate, solve_enumerate
 
 from conftest import bit_block, brute_force_solutions, clause, complete_graph, expand_rows
 
@@ -48,6 +49,9 @@ def test_scan_blocks_cover_the_space_in_order(inst, count):
     assert r.free_count == 17
     blocks = list(scan(inst, r))
     assert [start for start, _ in blocks] == [0, BLOCK]
+    for start, words in blocks:
+        assert words.dtype == np.uint64 and words.shape == (BLOCK // 64,)
+    blocks = [(start, unpack_verdicts(words, BLOCK)) for start, words in blocks]
     for start, satisfied in blocks:
         assert satisfied.shape == (BLOCK,)
         for i in (0, 1, BLOCK - 1):
@@ -136,7 +140,8 @@ def consistent_systems(draw) -> Instance:
 def test_every_scanned_bit_is_the_candidates_evaluation(inst):
     r = reduce_instance(inst)
     assert r.free_count == inst.n - inst.m
-    (start, satisfied), = scan(inst, r)
+    (start, words), = scan(inst, r)
+    satisfied = unpack_verdicts(words, 1 << r.free_count)
     assert start == 0 and satisfied.shape == (1 << r.free_count,)
     for i, bit in enumerate(satisfied):
         assert bit == eval_instance(inst, expand_index(r, i))
@@ -159,12 +164,63 @@ def test_blocks_at_the_word_and_block_widths(k):
     width = min(k, 16)
     blocks = list(scan(inst, r))
     assert [start for start, _ in blocks] == list(range(0, 1 << k, 1 << width))
+    for start, words in blocks:
+        assert words.shape == (max(1, (1 << width) // 64),)
+    blocks = [(start, unpack_verdicts(words, 1 << width)) for start, words in blocks]
     for start, satisfied in blocks:
-        # Below k = 6 one word holds more bits than candidates: none of its padding is yielded.
         assert satisfied.shape == (1 << width,)
         for i in set(range(min(1 << width, 64))) | {(1 << width) - 1}:
             assert satisfied[i] == eval_instance(inst, expand_index(r, start + i))
     assert sum(int(satisfied.sum()) for _, satisfied in blocks) == len(brute_force_solutions(inst))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_words_below_one_word_hold_no_padding(k):
+    """Below k = 6 one word holds more bits than candidates: the bits past 2^k are 0, so its
+    popcount is the solution count, even when every candidate is one."""
+    for inst in (Instance(k, ()), boundary_instance(k)):
+        r = reduce_instance(inst)
+        assert r.free_count == k
+        (start, words), = scan(inst, r)
+        assert start == 0 and words.dtype == np.uint64 and words.shape == (1,)
+        assert int(words[0]) >> (1 << k) == 0
+        assert int(np.bitwise_count(words).sum()) == len(brute_force_solutions(inst))
+
+
+def test_scan_consumers_build_no_walk_form(monkeypatch):
+    """The walk's standard form is built on first read: never by a scan consumer, once by a walk."""
+    calls = []
+    real = gf2.standard_form
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gf2, "standard_form", counted)
+    inst = gen_locked_random(22, 15, 3, 1, seed=4)
+    r = reduce_instance(inst)
+    assert isinstance(r, Reduction) and r.free_count > 0
+    count_enumerate(inst, r)
+    solve_enumerate(inst, r)
+    spec = OracleSpec(reduction=r, instance=inst)
+    grover_search_known(spec, 1, rng=0)
+    grover_search_unknown(spec, rng=0)
+    graph = random_regular_graph(12, 3, seed=1)
+    solve_hc(graph, reduce_instance(hc_to_occupation(graph)))
+    assert calls == []
+    assert backtrack_count(inst, r)[0] == count_enumerate(inst, r)
+    assert len(calls) == 1
+    backtrack_count(inst, r)
+    backtrack_solve(inst, r)
+    assert len(calls) == 1
+
+
+def test_both_constructor_spellings_give_the_walk_form():
+    inst = gen_locked_random(22, 15, 3, 1, seed=4)
+    basis = reduce_instance(inst).basis
+    form = gf2.standard_form(basis.rows, basis.point, basis.n)
+    for r in (Reduction(basis, form), Reduction(basis=basis, standard=form)):
+        assert r.__dict__["standard"] is form and r.standard is form
 
 
 def digest_corpus() -> list[Instance]:
@@ -178,12 +234,13 @@ def digest_corpus() -> list[Instance]:
 
 
 def scan_digest(corpus) -> str:
-    """sha256 over every yielded block's start (8 bytes, little-endian) and satisfied bytes."""
+    """sha256 over every yielded block's start (8 bytes, little-endian) and its verdicts as bool bytes."""
     digest = hashlib.sha256()
     for inst in corpus:
-        for start, satisfied in scan(inst, reduce_instance(inst)):
+        r = reduce_instance(inst)
+        for start, words in scan(inst, r):
             digest.update(start.to_bytes(8, "little"))
-            digest.update(satisfied.tobytes())
+            digest.update(unpack_verdicts(words, min(1 << r.free_count, BLOCK)).tobytes())
     return digest.hexdigest()
 
 

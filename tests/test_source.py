@@ -99,6 +99,19 @@ def test_only_the_walk_compiles_checks():
     assert found == {"solvers.py _walk"}
 
 
+def test_packed_bits_are_unpacked_in_two_places():
+    """`np.unpackbits` runs only in `gf2._unpack`, for packed rows, and in `reduction.unpack_verdicts`,
+    for the scan's verdict words; every other reader works on the packed form."""
+    found = {
+        f"{path.name} {getattr(statement, 'name', '<module>')}"
+        for path in package_sources()
+        for statement in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "unpackbits"
+    }
+    assert found == {"gf2.py _unpack", "reduction.py unpack_verdicts"}
+
+
 def test_no_blas_backed_numpy_calls():
     """No call wakes OpenBLAS's thread pool, whose workers spin on another core after the call returns.
 

@@ -50,11 +50,11 @@ def test_tracer_installs_and_restores_every_trace_point():
     for owner, attr, original in points:
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
     assert grover.OracleSpec.__dict__["solution_mask"] is mask
-    # count_enumerate -> reduce_instance -> gf2.standard_form, each nested in its caller.
+    # count_enumerate -> reduce_instance, nested in its caller; the scan never builds the walk's form.
     names = [tracer.names[span[0]] for span in tracer.spans]
     parents = [span[3] for span in tracer.spans]
-    assert names == ["solvers.scan", "reduction.reduce", "gf2.standard_form"]
-    assert parents == [-1, 0, 1]
+    assert names == ["solvers.scan", "reduction.reduce"]
+    assert parents == [-1, 0]
 
 
 def test_kernel_sweep_spans_time_generation_and_the_packed_rank():
